@@ -93,11 +93,74 @@ class AssocCache
         return setMask_ != 0 ? (x & setMask_) : (x % sets_);
     }
 
+    /** lookup() result for a tag that is not resident. */
+    static constexpr std::uint32_t kNoWay = ~std::uint32_t(0);
+
+    /**
+     * Single-scan access (the warm and tag-cache paths): lookup()
+     * scans a set once, and touchWay(), valueAt() and insertAbsent()
+     * then act on the way it returned without scanning again. Each
+     * leaves exactly the state its tag-addressed counterpart (touch(),
+     * find(), insert()) would.
+     *
+     * @return the way holding @p tag in @p set — the lowest valid way
+     *         holding it, matching the AoS scan order — or kNoWay.
+     *         Does not update recency. The scan walks the contiguous
+     *         tag run and tests the valid bit only on a tag match, so
+     *         a miss costs one predictable branch per way.
+     */
+    std::uint32_t
+    lookup(std::uint64_t set, std::uint64_t tag) const
+    {
+        if (set >= sets_)
+            panic("AssocCache: set out of range");
+        const std::uint64_t *tags = tags_.data() + set * ways_;
+        const std::uint64_t valid = valid_[set];
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (tags[w] == tag && ((valid >> w) & 1) != 0)
+                return w;
+        return kNoWay;
+    }
+
+    /** Payload of way @p way of @p set (from lookup/insertAbsent). */
+    Value &
+    valueAt(std::uint64_t set, std::uint32_t way)
+    {
+        return values_[set * ways_ + way];
+    }
+
+    /** touch() of the line in way @p way of @p set. */
+    void
+    touchWay(std::uint64_t set, std::uint32_t way)
+    {
+        const std::uint64_t bit = std::uint64_t(1) << way;
+        nru_[set] |= bit;
+        lastUse_[set * ways_ + way] = ++useClock_;
+        // NRU: when every valid line in the set is referenced, clear
+        // the others so a victim always exists.
+        if (policy_ == ReplPolicy::NRU &&
+            (valid_[set] & ~nru_[set]) == 0)
+            nru_[set] = bit;
+    }
+
+    /** Hint the hardware to fetch the first tag, state and payload
+     *  lines of @p set ahead of a lookup (no architectural effect). */
+    void
+    prefetchSet(std::uint64_t set) const
+    {
+        const std::size_t idx = set * ways_;
+        __builtin_prefetch(&tags_[idx]);
+        __builtin_prefetch(&valid_[set]);
+        __builtin_prefetch(&nru_[set]);
+        __builtin_prefetch(&lastUse_[idx]);
+        __builtin_prefetch(&values_[idx]);
+    }
+
     /** Find a line; returns nullptr on miss. Does not update recency. */
     Value *
     find(std::uint64_t set, std::uint64_t tag)
     {
-        const std::uint32_t w = findWay(set, tag);
+        const std::uint32_t w = lookup(set, tag);
         return w == kNoWay ? nullptr : &values_[set * ways_ + w];
     }
 
@@ -112,17 +175,9 @@ class AssocCache
     void
     touch(std::uint64_t set, std::uint64_t tag)
     {
-        const std::uint32_t w = findWay(set, tag);
-        if (w == kNoWay)
-            return;
-        const std::uint64_t bit = std::uint64_t(1) << w;
-        nru_[set] |= bit;
-        lastUse_[set * ways_ + w] = ++useClock_;
-        // NRU: when every valid line in the set is referenced, clear
-        // the others so a victim always exists.
-        if (policy_ == ReplPolicy::NRU &&
-            (valid_[set] & ~nru_[set]) == 0)
-            nru_[set] = bit;
+        const std::uint32_t w = lookup(set, tag);
+        if (w != kNoWay)
+            touchWay(set, w);
     }
 
     /** Evicted-line report from insert(). */
@@ -140,9 +195,23 @@ class AssocCache
     Victim
     insert(std::uint64_t set, std::uint64_t tag, Value v)
     {
-        if (findWay(set, tag) != kNoWay)
+        if (lookup(set, tag) != kNoWay)
             panic("AssocCache: duplicate insert");
+        std::uint32_t way = kNoWay;
+        return insertAbsent(set, tag, std::move(v), way);
+    }
+
+    /**
+     * insert() without its duplicate scan: @p tag must be absent from
+     * @p set (a lookup() of it just returned kNoWay). @p way receives
+     * the way the line now occupies.
+     */
+    Victim
+    insertAbsent(std::uint64_t set, std::uint64_t tag, Value v,
+                 std::uint32_t &way)
+    {
         const std::uint32_t w = victimWay(set);
+        way = w;
         const std::size_t idx = set * ways_ + w;
         const std::uint64_t bit = std::uint64_t(1) << w;
         Victim out;
@@ -168,7 +237,7 @@ class AssocCache
     bool
     erase(std::uint64_t set, std::uint64_t tag)
     {
-        const std::uint32_t w = findWay(set, tag);
+        const std::uint32_t w = lookup(set, tag);
         if (w == kNoWay)
             return false;
         const std::uint64_t bit = std::uint64_t(1) << w;
@@ -311,8 +380,6 @@ class AssocCache
     }
 
   private:
-    static constexpr std::uint32_t kNoWay = ~std::uint32_t(0);
-
     /** Whole-array raw value copies are legal only when every byte of
      *  Value is deterministic (no padding) and the host already uses
      *  the on-disk little-endian layout. */
@@ -320,23 +387,6 @@ class AssocCache
         std::has_unique_object_representations_v<Value> &&
         std::is_trivially_copyable_v<Value> &&
         ckpt::kHostIsLittleEndian;
-
-    /** Way of the resident line with @p tag, or kNoWay. Scans only the
-     *  valid ways, lowest way first (matches the AoS scan order). */
-    std::uint32_t
-    findWay(std::uint64_t set, std::uint64_t tag) const
-    {
-        if (set >= sets_)
-            panic("AssocCache: set out of range");
-        const std::uint64_t *tags = tags_.data() + set * ways_;
-        for (std::uint64_t m = valid_[set]; m != 0; m &= m - 1) {
-            const std::uint32_t w =
-                static_cast<std::uint32_t>(std::countr_zero(m));
-            if (tags[w] == tag)
-                return w;
-        }
-        return kNoWay;
-    }
 
     std::uint32_t
     victimWay(std::uint64_t set)
@@ -357,15 +407,17 @@ class AssocCache
         }
         // LRU: strict < keeps the first minimum in ascending way
         // order, i.e. lowest-way-wins on lastUse ties (pinned
-        // contract, see the class comment).
+        // contract, see the class comment). Written as selects so the
+        // data-dependent comparison compiles to conditional moves, not
+        // mispredicted branches.
         const std::uint64_t *lu = lastUse_.data() + set * ways_;
         std::uint32_t victim = 0;
         std::uint64_t oldest = ~std::uint64_t(0);
         for (std::uint32_t w = 0; w < ways_; ++w) {
-            if (lu[w] < oldest) {
-                oldest = lu[w];
-                victim = w;
-            }
+            const std::uint64_t u = lu[w];
+            const bool older = u < oldest;
+            oldest = older ? u : oldest;
+            victim = older ? w : victim;
         }
         return victim;
     }

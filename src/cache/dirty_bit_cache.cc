@@ -6,14 +6,22 @@ namespace dapsim
 DirtyBitCache::DirtyBitCache(const DirtyBitCacheConfig &cfg)
     : cfg_(cfg),
       dir_(cfg.entries / cfg.ways ? cfg.entries / cfg.ways : 1, cfg.ways,
-           ReplPolicy::LRU)
+           ReplPolicy::LRU),
+      entryDiv_(FastDiv::of(cfg.setsPerEntry)),
+      setDiv_(FastDiv::of(dir_.numSets()))
 {
 }
 
 std::uint64_t
 DirtyBitCache::groupOf(std::uint64_t alloy_set) const
 {
-    return alloy_set / cfg_.setsPerEntry;
+    return entryDiv_.div(alloy_set);
+}
+
+std::uint64_t
+DirtyBitCache::bitOf(std::uint64_t alloy_set) const
+{
+    return 1ULL << entryDiv_.mod(alloy_set);
 }
 
 std::uint64_t
@@ -25,28 +33,30 @@ DirtyBitCache::setIndex(std::uint64_t group) const
 std::uint64_t
 DirtyBitCache::tagOf(std::uint64_t group) const
 {
-    return group / dir_.numSets();
+    return setDiv_.div(group);
 }
 
 DirtyBitCache::Probe
 DirtyBitCache::probe(std::uint64_t alloy_set)
 {
     const std::uint64_t g = groupOf(alloy_set);
-    const std::uint64_t bit =
-        1ULL << (alloy_set % cfg_.setsPerEntry);
+    const std::uint64_t bit = bitOf(alloy_set);
+    const std::uint64_t s = setIndex(g);
+    const std::uint64_t t = tagOf(g);
     Probe p;
-    Entry *e = dir_.find(setIndex(g), tagOf(g));
-    if (e != nullptr) {
-        dir_.touch(setIndex(g), tagOf(g));
+    std::uint32_t w = dir_.lookup(s, t);
+    if (w != dir_.kNoWay) {
+        dir_.touchWay(s, w);
         hits.inc();
         // Unknown bits are conservatively dirty: IFRM must not bypass a
         // read hit to a line that could be dirty in the Alloy cache.
-        p.hit = (e->knownBits & bit) != 0;
-        p.dirty = (e->dirtyBits & bit) != 0;
+        const Entry &e = dir_.valueAt(s, w);
+        p.hit = (e.knownBits & bit) != 0;
+        p.dirty = (e.dirtyBits & bit) != 0;
         return p;
     }
     misses.inc();
-    dir_.insert(setIndex(g), tagOf(g), Entry{});
+    dir_.insertAbsent(s, t, Entry{}, w);
     return p; // miss: caller must treat the set as possibly dirty
 }
 
@@ -54,8 +64,7 @@ void
 DirtyBitCache::update(std::uint64_t alloy_set, bool dirty)
 {
     const std::uint64_t g = groupOf(alloy_set);
-    const std::uint64_t bit =
-        1ULL << (alloy_set % cfg_.setsPerEntry);
+    const std::uint64_t bit = bitOf(alloy_set);
     Entry *e = dir_.find(setIndex(g), tagOf(g));
     if (e == nullptr)
         return;

@@ -66,11 +66,17 @@ class DirtyBitCache
     };
 
     std::uint64_t groupOf(std::uint64_t alloy_set) const;
+    /** @p alloy_set's dirty/known bit within its group's entry. */
+    std::uint64_t bitOf(std::uint64_t alloy_set) const;
     std::uint64_t setIndex(std::uint64_t group) const;
     std::uint64_t tagOf(std::uint64_t group) const;
 
     DirtyBitCacheConfig cfg_;
     AssocCache<Entry> dir_;
+    /** Group split by cfg_.setsPerEntry, tag split by the set count:
+     *  shifts and masks for the power-of-two geometries. */
+    FastDiv entryDiv_;
+    FastDiv setDiv_;
 };
 
 } // namespace dapsim

@@ -6,7 +6,8 @@ namespace dapsim
 TagCache::TagCache(const TagCacheConfig &cfg)
     : cfg_(cfg),
       dir_(cfg.entries / cfg.ways ? cfg.entries / cfg.ways : 1, cfg.ways,
-           ReplPolicy::LRU)
+           ReplPolicy::LRU),
+      setDiv_(FastDiv::of(dir_.numSets()))
 {
 }
 
@@ -19,7 +20,7 @@ TagCache::setIndex(std::uint64_t ms_set) const
 std::uint64_t
 TagCache::tagOf(std::uint64_t ms_set) const
 {
-    return ms_set / dir_.numSets();
+    return setDiv_.div(ms_set);
 }
 
 TagCache::LookupResult
@@ -33,14 +34,15 @@ TagCache::access(std::uint64_t ms_set)
     }
     const std::uint64_t s = setIndex(ms_set);
     const std::uint64_t t = tagOf(ms_set);
-    if (dir_.find(s, t) != nullptr) {
-        dir_.touch(s, t);
+    std::uint32_t w = dir_.lookup(s, t);
+    if (w != dir_.kNoWay) {
+        dir_.touchWay(s, w);
         hits.inc();
         res.hit = true;
         return res;
     }
     misses.inc();
-    auto victim = dir_.insert(s, t, Entry{});
+    auto victim = dir_.insertAbsent(s, t, Entry{}, w);
     if (victim.valid && victim.value.dirty) {
         res.writebackNeeded = true;
         writebacks.inc();

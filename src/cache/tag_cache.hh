@@ -89,6 +89,8 @@ class TagCache
 
     TagCacheConfig cfg_;
     AssocCache<Entry> dir_;
+    /** Tag split by the set count (see tagOf). */
+    FastDiv setDiv_;
 };
 
 } // namespace dapsim

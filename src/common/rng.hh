@@ -97,6 +97,20 @@ class Rng
         return r > cap ? cap : r;
     }
 
+    /**
+     * Advance the engine exactly as gap(@p mean, cap) would, without
+     * computing the gap: one draw when @p mean > 1, none otherwise.
+     * Functional warm-up discards instruction gaps, so it skips the
+     * logarithm per record while keeping the stream in lockstep.
+     */
+    void
+    skipGap(double mean)
+    {
+        if (mean <= 1.0)
+            return;
+        next();
+    }
+
     /** Raw engine state, for checkpointing (see src/ckpt/). */
     struct State
     {

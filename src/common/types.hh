@@ -73,6 +73,18 @@ indexHash(std::uint64_t x)
     return x >> 21;
 }
 
+/**
+ * One functional warm-up access: a request's address and direction,
+ * without the instruction gap the timed path needs. Generators draw
+ * these in chunks, the L3 emits them as its stream to the MS$, and
+ * the MS$ applies them (see DESIGN.md §15).
+ */
+struct WarmAccess
+{
+    Addr addr = 0;
+    bool isWrite = false;
+};
+
 constexpr std::uint64_t kKiB = 1024;
 constexpr std::uint64_t kMiB = 1024 * kKiB;
 constexpr std::uint64_t kGiB = 1024 * kMiB;

@@ -27,7 +27,8 @@ AlloyCache::AlloyCache(EventQueue &eq, DramSystem &main_memory,
                        const AlloyCacheConfig &cfg)
     : MemSideCache(eq, main_memory, policy), cfg_(cfg),
       array_(eq, cfg.array), dir_(cfg.numSets(), 1, ReplPolicy::LRU),
-      dbc_(cfg.dbc), predictor_(cfg.predictorEntries, 3)
+      dbc_(cfg.dbc), predictor_(cfg.predictorEntries, 3),
+      predDiv_(FastDiv::of(predictor_.size()))
 {
 }
 
@@ -42,22 +43,26 @@ AlloyCache::effectivePeakAccPerCycle() const
            tad_clocks;
 }
 
+std::size_t
+AlloyCache::predictorIndex(Addr a) const
+{
+    // Region-hash (4 KB) indexed 2-bit counters.
+    const std::uint64_t region = a >> 12;
+    return static_cast<std::size_t>(
+        predDiv_.mod((region * 0x9e3779b97f4a7c15ULL) >> 32));
+}
+
 bool
 AlloyCache::predictHit(Addr a) const
 {
-    // Region-hash (4 KB) indexed 2-bit counters; >= 2 predicts hit.
-    const std::uint64_t region = a >> 12;
-    const std::size_t i = static_cast<std::size_t>(
-        (region * 0x9e3779b97f4a7c15ULL) >> 32) % predictor_.size();
-    return predictor_[i] >= 2;
+    // >= 2 predicts hit.
+    return predictor_[predictorIndex(a)] >= 2;
 }
 
 void
 AlloyCache::trainPredictor(Addr a, bool hit)
 {
-    const std::uint64_t region = a >> 12;
-    const std::size_t i = static_cast<std::size_t>(
-        (region * 0x9e3779b97f4a7c15ULL) >> 32) % predictor_.size();
+    const std::size_t i = predictorIndex(a);
     if (hit) {
         if (predictor_[i] < 3)
             ++predictor_[i];
@@ -214,17 +219,29 @@ AlloyCache::warmTouch(Addr addr, bool is_write)
 {
     const std::uint64_t set = setOf(addr);
     const std::uint64_t tag = tagOf(addr);
-    Line *l = dir_.find(set, tag);
-    const bool hit = l != nullptr;
-    if (l == nullptr) {
-        dir_.insert(set, tag, Line{}); // direct-mapped: replaces victim
-        l = dir_.find(set, tag);
-    }
+    std::uint32_t way = dir_.lookup(set, tag);
+    const bool hit = way != dir_.kNoWay;
+    if (!hit) // direct-mapped: replaces the victim
+        dir_.insertAbsent(set, tag, Line{}, way);
+    Line &l = dir_.valueAt(set, way);
     if (is_write)
-        l->dirty = true;
-    dbc_.update(blockNumber(addr), l->dirty);
+        l.dirty = true;
+    dbc_.update(blockNumber(addr), l.dirty);
     trainPredictor(addr, true);
     return hit;
+}
+
+void
+AlloyCache::warmApply(const WarmAccess *ops, std::size_t n)
+{
+    // The directory is one set per block (megabytes of SoA arrays), so
+    // a touch is mostly cache misses: fetch a few sets ahead.
+    constexpr std::size_t kAhead = 8;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i + kAhead < n)
+            dir_.prefetchSet(setOf(ops[i + kAhead].addr));
+        AlloyCache::warmTouch(ops[i].addr, ops[i].isWrite);
+    }
 }
 
 void

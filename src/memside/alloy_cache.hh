@@ -70,6 +70,7 @@ class AlloyCache final : public MemSideCache
     double effectivePeakAccPerCycle() const;
 
     bool warmTouch(Addr addr, bool is_write) override;
+    void warmApply(const WarmAccess *ops, std::size_t n) override;
 
     void
     creditFastForward(std::uint64_t reads, std::uint64_t writes) override
@@ -93,7 +94,7 @@ class AlloyCache final : public MemSideCache
 
     std::uint64_t setOf(Addr a) const
     {
-        return indexHash(blockNumber(a)) % cfg_.numSets();
+        return dir_.mapSet(indexHash(blockNumber(a)));
     }
     std::uint64_t tagOf(Addr a) const { return blockNumber(a); }
 
@@ -103,6 +104,8 @@ class AlloyCache final : public MemSideCache
         return set * kBlockBytes;
     }
 
+    /** Predictor counter of @p a's 4 KB region. */
+    std::size_t predictorIndex(Addr a) const;
     bool predictHit(Addr a) const;
     void trainPredictor(Addr a, bool hit);
 
@@ -117,6 +120,9 @@ class AlloyCache final : public MemSideCache
     AssocCache<Line> dir_;
     DirtyBitCache dbc_;
     std::vector<std::uint8_t> predictor_;
+    /** Region-hash reduction by the predictor size (see
+     *  predictorIndex). */
+    FastDiv predDiv_;
 };
 
 } // namespace dapsim

@@ -182,24 +182,26 @@ EdramCache::warmTouch(Addr addr, bool is_write)
     const std::uint64_t tag = tagOf(sec);
     const std::uint32_t blk = blkOf(addr);
 
-    SectorMeta *m = dir_.find(set, tag);
-    const bool hit = m != nullptr && (is_write || m->isValid(blk));
-    if (m == nullptr) {
+    std::uint32_t way = dir_.lookup(set, tag);
+    bool hit = false;
+    if (way == dir_.kNoWay) {
         const std::uint64_t mask = footprint_.predict(sec, blk);
-        auto victim = dir_.insert(set, tag, SectorMeta{});
+        auto victim = dir_.insertAbsent(set, tag, SectorMeta{}, way);
         if (victim.valid)
             footprint_.recordEviction(
                 sectorNumberFrom(set, victim.tag),
                 victim.value.touchedMask);
-        m = dir_.find(set, tag);
-        m->validMask = mask;
+        dir_.valueAt(set, way).validMask = mask;
+    } else {
+        hit = is_write || dir_.valueAt(set, way).isValid(blk);
     }
-    dir_.touch(set, tag);
-    m->touch(blk);
+    dir_.touchWay(set, way);
+    SectorMeta &m = dir_.valueAt(set, way);
+    m.touch(blk);
     if (is_write)
-        m->setDirty(blk);
+        m.setDirty(blk);
     else
-        m->setValid(blk);
+        m.setValid(blk);
     return hit;
 }
 

@@ -64,6 +64,19 @@ class MemSideCache
     virtual bool warmTouch(Addr, bool /*is_write*/) { return false; }
 
     /**
+     * Apply a warm stream: warmTouch() of @p ops[0..n) in order. The
+     * warm pipeline's MS$ stage hands over one chunk per call. The
+     * Alloy cache overrides it to prefetch its (megabytes-large)
+     * directory sets a few accesses ahead.
+     */
+    virtual void
+    warmApply(const WarmAccess *ops, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            warmTouch(ops[i].addr, ops[i].isWrite);
+    }
+
+    /**
      * Fast-forward bypass accounting: fold modeled array CAS counts
      * from an analytically priced interval into arrayCasOps() so
      * delivered-bandwidth statistics cover fast-forwarded traffic.

@@ -24,24 +24,14 @@ L3Cache::install(Addr addr, bool dirty)
 L3Cache::WarmOutcome
 L3Cache::warmTouch(Addr addr, bool is_write)
 {
+    const WarmFlow f = warmFlow(addr, is_write);
     WarmOutcome out;
-    const std::uint64_t set = setOf(addr);
-    const std::uint64_t tag = tagOf(addr);
-    Line *l = dir_.find(set, tag);
-    if (l != nullptr) {
-        out.l3Hit = true;
-        dir_.touch(set, tag);
-        if (is_write)
-            l->dirty = true;
-        return out;
-    }
-    auto victim = dir_.insert(set, tag, Line{is_write});
-    if (victim.valid && victim.value.dirty) {
-        const Addr vaddr = victim.tag << kBlockShift;
-        ms_.warmTouch(vaddr, true);
+    out.l3Hit = f.l3Hit;
+    if (f.writeback) {
+        ms_.warmTouch(f.victimAddr, true);
         out.msWriteback = true;
     }
-    if (!is_write) {
+    if (f.readMiss) {
         out.msRead = true;
         out.msHit = ms_.warmTouch(addr, false);
     }

@@ -67,6 +67,46 @@ class L3Cache
      *  the MS$'s warm path; no timing, no statistics. */
     WarmOutcome warmTouch(Addr addr, bool is_write);
 
+    /** What one warm access sends on to the MS$'s warm path, in
+     *  order: a dirty victim's writeback, then the read miss. */
+    struct WarmFlow
+    {
+        bool l3Hit = false;
+        bool writeback = false; ///< a dirty victim leaves the L3
+        Addr victimAddr = 0;    ///< ...at this block address
+        bool readMiss = false;  ///< the read continues to the MS$
+    };
+
+    /**
+     * The L3 half of warmTouch(): update the directory only and report
+     * the MS$ traffic. warmTouch() (and with it the serial
+     * System::fastForward) applies the flow at once; the warm
+     * pipeline's L3 stage queues it for the MS$ stage instead. Inline
+     * so that stage's record loop compiles into one body.
+     */
+    WarmFlow
+    warmFlow(Addr addr, bool is_write)
+    {
+        WarmFlow out;
+        const std::uint64_t set = setOf(addr);
+        const std::uint64_t tag = tagOf(addr);
+        std::uint32_t way = dir_.lookup(set, tag);
+        if (way != dir_.kNoWay) {
+            out.l3Hit = true;
+            dir_.touchWay(set, way);
+            if (is_write)
+                dir_.valueAt(set, way).dirty = true;
+            return out;
+        }
+        auto victim = dir_.insertAbsent(set, tag, Line{is_write}, way);
+        if (victim.valid && victim.value.dirty) {
+            out.writeback = true;
+            out.victimAddr = victim.tag << kBlockShift;
+        }
+        out.readMiss = !is_write;
+        return out;
+    }
+
     double
     missRatio() const
     {

@@ -3,6 +3,7 @@
 #include "common/log.hh"
 #include "dap/bandwidth_model.hh"
 #include "obs/observability.hh"
+#include "sim/warm_pipeline.hh"
 
 namespace dapsim
 {
@@ -446,13 +447,7 @@ System::allCoresFinished() const
 void
 System::warmup(std::uint64_t accesses_per_core)
 {
-    TraceRequest req;
-    for (std::uint64_t n = 0; n < accesses_per_core; ++n) {
-        for (std::uint32_t i = 0; i < cfg_.numCores; ++i) {
-            if (gens_[i]->next(req))
-                l3_->warmTouch(req.addr, req.isWrite);
-        }
-    }
+    runWarmPipeline(gens_, *l3_, *ms_, accesses_per_core);
     // Warm-up must not leak into the reported predictor statistics.
     if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
         sc->tagCache().hits.reset();

@@ -131,6 +131,9 @@ class System
      * each core's generator (round-robin) through the warm path so the
      * timed run starts from steady-state directories. Warm-up
      * perturbations to predictor statistics are reset afterwards.
+     * Runs the generator -> L3 -> MS$ pipeline of sim/warm_pipeline.hh
+     * on this thread plus two joined before it returns; the state it
+     * leaves is that of the serial record-by-record loop.
      */
     void warmup(std::uint64_t accesses_per_core);
 

@@ -43,8 +43,9 @@ SyntheticGenerator::pickRandomBlock()
     return rng_.below(blocks_);
 }
 
-bool
-SyntheticGenerator::next(TraceRequest &out)
+template <bool kGap>
+WarmAccess
+SyntheticGenerator::draw(std::uint64_t &gap)
 {
     Addr block;
     if (rng_.chance(p_.streamFraction)) {
@@ -66,11 +67,19 @@ SyntheticGenerator::next(TraceRequest &out)
         --runLeft_;
     }
 
-    out.addr = p_.base + block * kBlockBytes;
-    out.isWrite = rng_.chance(p_.writeFraction);
-    out.instrGap = rng_.gap(meanGap_, 1'000'000);
-    return true;
+    WarmAccess a;
+    a.addr = p_.base + block * kBlockBytes;
+    a.isWrite = rng_.chance(p_.writeFraction);
+    if constexpr (kGap)
+        gap = rng_.gap(meanGap_, 1'000'000);
+    else
+        rng_.skipGap(meanGap_);
+    return a;
 }
+
+// DrawnGenerator's next() and drawWarm() link against these.
+template WarmAccess SyntheticGenerator::draw<true>(std::uint64_t &);
+template WarmAccess SyntheticGenerator::draw<false>(std::uint64_t &);
 
 StreamKernelGenerator::StreamKernelGenerator(std::uint64_t footprint_bytes,
                                              std::uint64_t gap, Addr base)

@@ -59,12 +59,11 @@ struct SyntheticParams
 };
 
 /** The workhorse generator. */
-class SyntheticGenerator final : public AccessGenerator
+class SyntheticGenerator final
+    : public DrawnGenerator<SyntheticGenerator>
 {
   public:
     explicit SyntheticGenerator(const SyntheticParams &p);
-
-    bool next(TraceRequest &out) override;
 
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;
@@ -72,7 +71,12 @@ class SyntheticGenerator final : public AccessGenerator
     const SyntheticParams &params() const { return p_; }
 
   private:
+    friend class DrawnGenerator<SyntheticGenerator>;
+
     Addr pickRandomBlock();
+
+    template <bool kGap>
+    WarmAccess draw(std::uint64_t &gap);
 
     SyntheticParams p_;
     Rng rng_;

@@ -18,11 +18,17 @@ footprintBlocks(const KernelParams &p, const char *kind)
     return p.footprintBytes / kBlockBytes;
 }
 
-std::uint64_t
-instrGap(Rng &rng, double mpki)
+/** The instruction gap before a record: drawn into @p gap, or only
+ *  skipped in the Rng for a warm draw. */
+template <bool kGap>
+void
+instrGap(Rng &rng, double mpki, std::uint64_t &gap)
 {
     const double mean = std::max(1.0, 1000.0 / mpki);
-    return rng.gap(mean, 1'000'000);
+    if constexpr (kGap)
+        gap = rng.gap(mean, 1'000'000);
+    else
+        rng.skipGap(mean);
 }
 
 } // namespace
@@ -85,9 +91,11 @@ ZipfGenerator::pickBlock()
     return start + (size > 1 ? rng_.below(size) : 0);
 }
 
-bool
-ZipfGenerator::next(TraceRequest &out)
+template <bool kGap>
+WarmAccess
+ZipfGenerator::draw(std::uint64_t &gap)
 {
+    WarmAccess out;
     if (runLeft_ == 0) {
         const std::uint64_t off =
             driftOffset(p_.drift, blocks_, p_.seed, accesses_, rng_);
@@ -102,8 +110,8 @@ ZipfGenerator::next(TraceRequest &out)
 
     out.addr = p_.base + block * kBlockBytes;
     out.isWrite = rng_.chance(p_.writeFraction);
-    out.instrGap = instrGap(rng_, p_.mpki);
-    return true;
+    instrGap<kGap>(rng_, p_.mpki, gap);
+    return out;
 }
 
 void
@@ -139,9 +147,11 @@ HotspotGenerator::HotspotGenerator(const Params &p)
                static_cast<double>(blocks_) * p_.hotFraction));
 }
 
-bool
-HotspotGenerator::next(TraceRequest &out)
+template <bool kGap>
+WarmAccess
+HotspotGenerator::draw(std::uint64_t &gap)
 {
+    WarmAccess out;
     if (runLeft_ == 0) {
         // Hot region is [off, off + hotBlocks) — drift moves it.
         const std::uint64_t off =
@@ -160,8 +170,8 @@ HotspotGenerator::next(TraceRequest &out)
 
     out.addr = p_.base + block * kBlockBytes;
     out.isWrite = rng_.chance(p_.writeFraction);
-    out.instrGap = instrGap(rng_, p_.mpki);
-    return true;
+    instrGap<kGap>(rng_, p_.mpki, gap);
+    return out;
 }
 
 void
@@ -194,14 +204,16 @@ FloodGenerator::FloodGenerator(const KernelParams &p)
 {
 }
 
-bool
-FloodGenerator::next(TraceRequest &out)
+template <bool kGap>
+WarmAccess
+FloodGenerator::draw(std::uint64_t &gap)
 {
+    WarmAccess out;
     out.addr = p_.base + ptr_ * kBlockBytes;
     ptr_ = (ptr_ + 1) % blocks_;
     out.isWrite = rng_.chance(p_.writeFraction);
-    out.instrGap = instrGap(rng_, p_.mpki);
-    return true;
+    instrGap<kGap>(rng_, p_.mpki, gap);
+    return out;
 }
 
 void
@@ -231,17 +243,19 @@ ChaseGenerator::ChaseGenerator(const KernelParams &p)
 {
 }
 
-bool
-ChaseGenerator::next(TraceRequest &out)
+template <bool kGap>
+WarmAccess
+ChaseGenerator::draw(std::uint64_t &gap)
 {
+    WarmAccess out;
     // Full-cycle tour: the counter walks [0, blocks) in order and the
     // permutation scatters it, so every block is visited exactly once
     // per lap with no stride a prefetcher can latch onto.
     out.addr = p_.base + perm_.apply(counter_ % blocks_) * kBlockBytes;
     ++counter_;
     out.isWrite = rng_.chance(p_.writeFraction);
-    out.instrGap = instrGap(rng_, p_.mpki);
-    return true;
+    instrGap<kGap>(rng_, p_.mpki, gap);
+    return out;
 }
 
 void
@@ -274,9 +288,11 @@ WriteBurstGenerator::WriteBurstGenerator(const Params &p)
     cycleLen_ = p_.burst + static_cast<std::uint64_t>(reads + 0.5);
 }
 
-bool
-WriteBurstGenerator::next(TraceRequest &out)
+template <bool kGap>
+WarmAccess
+WriteBurstGenerator::draw(std::uint64_t &gap)
 {
+    WarmAccess out;
     if (pos_ < p_.burst) {
         // Burst phase: sequential dirty writebacks.
         out.addr = p_.base + writePtr_ * kBlockBytes;
@@ -288,8 +304,8 @@ WriteBurstGenerator::next(TraceRequest &out)
         out.isWrite = false;
     }
     pos_ = (pos_ + 1) % cycleLen_;
-    out.instrGap = instrGap(rng_, p_.mpki);
-    return true;
+    instrGap<kGap>(rng_, p_.mpki, gap);
+    return out;
 }
 
 void
@@ -320,14 +336,16 @@ SparseStrideGenerator::SparseStrideGenerator(const Params &p)
 {
 }
 
-bool
-SparseStrideGenerator::next(TraceRequest &out)
+template <bool kGap>
+WarmAccess
+SparseStrideGenerator::draw(std::uint64_t &gap)
 {
+    WarmAccess out;
     out.addr = p_.base + ptr_ * kBlockBytes;
     ptr_ = (ptr_ + p_.strideBlocks) % blocks_;
     out.isWrite = rng_.chance(p_.writeFraction);
-    out.instrGap = instrGap(rng_, p_.mpki);
-    return true;
+    instrGap<kGap>(rng_, p_.mpki, gap);
+    return out;
 }
 
 void
@@ -348,5 +366,19 @@ SparseStrideGenerator::restore(ckpt::Deserializer &d)
     rng_.setState(st);
     ptr_ = d.u64();
 }
+
+// DrawnGenerator's next() and drawWarm() link against these.
+template WarmAccess ZipfGenerator::draw<true>(std::uint64_t &);
+template WarmAccess ZipfGenerator::draw<false>(std::uint64_t &);
+template WarmAccess HotspotGenerator::draw<true>(std::uint64_t &);
+template WarmAccess HotspotGenerator::draw<false>(std::uint64_t &);
+template WarmAccess FloodGenerator::draw<true>(std::uint64_t &);
+template WarmAccess FloodGenerator::draw<false>(std::uint64_t &);
+template WarmAccess ChaseGenerator::draw<true>(std::uint64_t &);
+template WarmAccess ChaseGenerator::draw<false>(std::uint64_t &);
+template WarmAccess WriteBurstGenerator::draw<true>(std::uint64_t &);
+template WarmAccess WriteBurstGenerator::draw<false>(std::uint64_t &);
+template WarmAccess SparseStrideGenerator::draw<true>(std::uint64_t &);
+template WarmAccess SparseStrideGenerator::draw<false>(std::uint64_t &);
 
 } // namespace dapsim::workload

@@ -73,7 +73,7 @@ struct KernelParams
 };
 
 /** Zipf-popularity generator with optional phase drift. */
-class ZipfGenerator final : public AccessGenerator
+class ZipfGenerator final : public DrawnGenerator<ZipfGenerator>
 {
   public:
     struct Params : KernelParams
@@ -85,11 +85,14 @@ class ZipfGenerator final : public AccessGenerator
 
     explicit ZipfGenerator(const Params &p);
 
-    bool next(TraceRequest &out) override;
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;
 
   private:
+    friend class DrawnGenerator<ZipfGenerator>;
+    template <bool kGap>
+    WarmAccess draw(std::uint64_t &gap);
+
     std::uint64_t pickBlock();
 
     Params p_;
@@ -105,7 +108,7 @@ class ZipfGenerator final : public AccessGenerator
 };
 
 /** Hot-region generator whose hot set drifts on a schedule. */
-class HotspotGenerator final : public AccessGenerator
+class HotspotGenerator final : public DrawnGenerator<HotspotGenerator>
 {
   public:
     struct Params : KernelParams
@@ -118,11 +121,14 @@ class HotspotGenerator final : public AccessGenerator
 
     explicit HotspotGenerator(const Params &p);
 
-    bool next(TraceRequest &out) override;
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;
 
   private:
+    friend class DrawnGenerator<HotspotGenerator>;
+    template <bool kGap>
+    WarmAccess draw(std::uint64_t &gap);
+
     Params p_;
     std::uint64_t blocks_;
     std::uint64_t hotBlocks_;
@@ -133,16 +139,19 @@ class HotspotGenerator final : public AccessGenerator
 };
 
 /** Sequential streaming flood: maximum bandwidth demand. */
-class FloodGenerator final : public AccessGenerator
+class FloodGenerator final : public DrawnGenerator<FloodGenerator>
 {
   public:
     explicit FloodGenerator(const KernelParams &p);
 
-    bool next(TraceRequest &out) override;
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;
 
   private:
+    friend class DrawnGenerator<FloodGenerator>;
+    template <bool kGap>
+    WarmAccess draw(std::uint64_t &gap);
+
     KernelParams p_;
     std::uint64_t blocks_;
     Rng rng_;
@@ -150,16 +159,19 @@ class FloodGenerator final : public AccessGenerator
 };
 
 /** Dependent pointer chase over a full-cycle pseudorandom tour. */
-class ChaseGenerator final : public AccessGenerator
+class ChaseGenerator final : public DrawnGenerator<ChaseGenerator>
 {
   public:
     explicit ChaseGenerator(const KernelParams &p);
 
-    bool next(TraceRequest &out) override;
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;
 
   private:
+    friend class DrawnGenerator<ChaseGenerator>;
+    template <bool kGap>
+    WarmAccess draw(std::uint64_t &gap);
+
     KernelParams p_;
     std::uint64_t blocks_;
     BlockPermutation perm_;
@@ -168,7 +180,8 @@ class ChaseGenerator final : public AccessGenerator
 };
 
 /** Alternating sequential write bursts and random read phases. */
-class WriteBurstGenerator final : public AccessGenerator
+class WriteBurstGenerator final
+    : public DrawnGenerator<WriteBurstGenerator>
 {
   public:
     struct Params : KernelParams
@@ -179,11 +192,14 @@ class WriteBurstGenerator final : public AccessGenerator
 
     explicit WriteBurstGenerator(const Params &p);
 
-    bool next(TraceRequest &out) override;
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;
 
   private:
+    friend class DrawnGenerator<WriteBurstGenerator>;
+    template <bool kGap>
+    WarmAccess draw(std::uint64_t &gap);
+
     Params p_;
     std::uint64_t blocks_;
     std::uint64_t cycleLen_;
@@ -193,7 +209,8 @@ class WriteBurstGenerator final : public AccessGenerator
 };
 
 /** Sector-hostile sparse stride: one block per sector. */
-class SparseStrideGenerator final : public AccessGenerator
+class SparseStrideGenerator final
+    : public DrawnGenerator<SparseStrideGenerator>
 {
   public:
     struct Params : KernelParams
@@ -203,11 +220,14 @@ class SparseStrideGenerator final : public AccessGenerator
 
     explicit SparseStrideGenerator(const Params &p);
 
-    bool next(TraceRequest &out) override;
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;
 
   private:
+    friend class DrawnGenerator<SparseStrideGenerator>;
+    template <bool kGap>
+    WarmAccess draw(std::uint64_t &gap);
+
     Params p_;
     std::uint64_t blocks_;
     Rng rng_;

@@ -6,7 +6,8 @@
  * structure-of-arrays directory and the frozen array-of-structures
  * reference (tests/reference_assoc_cache.hh), asserting identical
  * hits, victims, occupancy, flush order and v1 checkpoint bytes at
- * every step, across LRU/NRU and a grid of geometries. Also pins the
+ * every step, across LRU/NRU and a grid of geometries — for the
+ * tag-addressed API and for the single-scan way ops. Also pins the
  * v2 bulk-span encode/decode (raw and per-element value paths) as a
  * lossless round trip of the full directory state.
  */
@@ -222,6 +223,74 @@ INSTANTIATE_TEST_SUITE_P(
                           Geometry{8, 4}, Geometry{16, 16},
                           Geometry{64, 3}, Geometry{2, 64}),
         ::testing::Values(ReplPolicy::LRU, ReplPolicy::NRU)));
+
+/**
+ * The single-scan way ops (lookup, touchWay, valueAt, insertAbsent)
+ * the warm path and the tag cache use must leave exactly the state of
+ * the reference's tag-addressed find/touch/insert chains, including
+ * the sectored warm touch's insert-then-touch of a missing line.
+ */
+class AssocCacheWayOpsDiff
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, ReplPolicy>>
+{
+};
+
+TEST_P(AssocCacheWayOpsDiff, SingleScanOpsMatchReference)
+{
+    const auto [ways, policy] = GetParam();
+    const std::uint64_t sets = 16;
+    AssocCache<int> soa(sets, ways, policy);
+    RefAssocCache<int> ref(sets, ways, policy);
+
+    Rng rng(0x5ca1 + ways * 17 + (policy == ReplPolicy::NRU ? 1 : 0));
+    const std::uint64_t tagSpace = 2 * ways + 3;
+    for (int step = 0; step < 8000; ++step) {
+        const std::uint64_t set = rng.below(sets);
+        const std::uint64_t tag = rng.below(tagSpace);
+        const int v = static_cast<int>(rng.below(1 << 20));
+        std::uint32_t w = soa.lookup(set, tag);
+        int *r = ref.find(set, tag);
+        ASSERT_EQ(w == soa.kNoWay, r == nullptr) << "step " << step;
+        if (w != soa.kNoWay) {
+            // Hit: read, touch and update by way.
+            ASSERT_EQ(soa.valueAt(set, w), *r) << "step " << step;
+            soa.touchWay(set, w);
+            ref.touch(set, tag);
+            if (rng.chance(0.3)) {
+                soa.valueAt(set, w) = v;
+                *ref.find(set, tag) = v;
+            }
+        } else if (rng.below(10) != 0) {
+            // Miss: fill by way, sometimes touched again at once as
+            // the sectored and eDRAM warm touches do.
+            const auto va = soa.insertAbsent(set, tag, v, w);
+            const auto vb = ref.insert(set, tag, v);
+            ASSERT_EQ(va.valid, vb.valid) << "step " << step;
+            if (va.valid) {
+                ASSERT_EQ(va.tag, vb.tag) << "step " << step;
+                ASSERT_EQ(va.value, vb.value) << "step " << step;
+            }
+            ASSERT_EQ(soa.lookup(set, tag), w) << "step " << step;
+            ASSERT_EQ(soa.valueAt(set, w), v) << "step " << step;
+            if (rng.chance(0.5)) {
+                soa.touchWay(set, w);
+                ref.touch(set, tag);
+            }
+        } else {
+            ASSERT_EQ(soa.erase(set, tag), ref.erase(set, tag))
+                << "step " << step;
+        }
+        if (step % 400 == 399)
+            expectSameCkptBytes(soa, ref);
+    }
+    expectSameCkptBytes(soa, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ways, AssocCacheWayOpsDiff,
+    ::testing::Combine(::testing::Values(1u, 4u, 16u),
+                       ::testing::Values(ReplPolicy::LRU,
+                                         ReplPolicy::NRU)));
 
 /** Value type with interior padding: v2 must take the per-element
  *  stream fallback (encoding tag 0) and still round-trip. */

@@ -31,16 +31,20 @@
 #include <string>
 #include <vector>
 
+#include "golden_update.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
 #include "workload/compose.hh"
 
 namespace dapsim
 {
+
+bool golden::g_update = false;
+
 namespace
 {
 
-bool g_update = false;
+using golden::g_update;
 
 std::string
 goldenPath(const std::string &name)
@@ -230,9 +234,9 @@ main(int argc, char **argv)
     ::testing::InitGoogleTest(&argc, argv);
     for (int i = 1; i < argc; ++i)
         if (std::string(argv[i]) == "--update-golden")
-            dapsim::g_update = true;
+            dapsim::golden::g_update = true;
     if (const char *env = std::getenv("DAPSIM_UPDATE_GOLDEN"))
         if (env[0] != '\0' && env[0] != '0')
-            dapsim::g_update = true;
+            dapsim::golden::g_update = true;
     return RUN_ALL_TESTS();
 }
