@@ -308,7 +308,7 @@ capture(System &sys, CheckpointHeader header, std::uint32_t version)
     header.pendingEvents = sys.eventQueue().pending();
     Checkpoint ckpt;
     ckpt.header = header;
-    ckpt.payload = s.buffer();
+    ckpt.payload = std::move(s).take();
     return ckpt;
 }
 
@@ -330,7 +330,7 @@ encode(const Checkpoint &ckpt)
     s.u64(ckpt.header.pendingEvents);
     s.u64(ckpt.payload.size());
     s.u32(crc32(ckpt.payload.data(), ckpt.payload.size()));
-    std::vector<std::uint8_t> out = s.buffer();
+    std::vector<std::uint8_t> out = std::move(s).take();
     out.insert(out.end(), ckpt.payload.begin(), ckpt.payload.end());
     return out;
 }
@@ -516,8 +516,8 @@ makeWarmupCheckpoint(SystemConfig cfg, const Mix &mix,
 RunResult
 runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
                      std::uint64_t instr_per_core,
-                     std::uint64_t seed_salt,
-                     const CheckpointView &ckpt, bool fork)
+                     std::uint64_t seed_salt, CheckpointView ckpt,
+                     bool fork)
 {
     if (mix.apps.size() != cfg.numCores)
         throw CkptError("ckpt: mix width != core count");
@@ -551,6 +551,7 @@ runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
     sys.restore(d, fork);
     if (!d.atEnd())
         throw CkptError("ckpt: trailing bytes after the last section");
+    ckpt = CheckpointView{}; // restored: let the bytes go before the run
     return runFidelityOn(sys, mix.name, instr_per_core);
 }
 

@@ -190,13 +190,14 @@ Checkpoint makeWarmupCheckpoint(SystemConfig cfg, const Mix &mix,
  * Verifies stateHash (and, unless @p fork, fullHash) against the
  * checkpoint before restoring; throws CkptError on mismatch. With
  * @p fork the checkpoint's policy section is skipped, so a warm-up
- * taken under one policy seeds any policy variant.
+ * taken under one policy seeds any policy variant. The view is
+ * dropped once restored, before the timed run, so a caller that moves
+ * in its last reference frees the bytes early.
  */
 RunResult runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
                                std::uint64_t instr_per_core,
                                std::uint64_t seed_salt,
-                               const CheckpointView &ckpt,
-                               bool fork = false);
+                               CheckpointView ckpt, bool fork = false);
 
 RunResult runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
                                std::uint64_t instr_per_core,

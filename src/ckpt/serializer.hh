@@ -184,6 +184,16 @@ class Serializer
         return buf_;
     }
 
+    /** buffer(), moved out instead of copied: the serializer is spent
+     *  afterwards. Same unterminated-section check. */
+    std::vector<std::uint8_t>
+    take() &&
+    {
+        if (!lengthAt_.empty())
+            throw CkptError("ckpt: unterminated section");
+        return std::move(buf_);
+    }
+
     std::size_t size() const { return buf_.size(); }
 
   private:
@@ -440,23 +450,64 @@ fnv1a(const std::vector<std::uint8_t> &v,
     return fnv1a(v.data(), v.size(), h);
 }
 
-/** CRC32 (IEEE 802.3 polynomial, reflected) over a byte span. */
+namespace detail
+{
+
+/** Slicing-by-8 tables: t[0] is the bytewise CRC32 table, and t[k][b]
+ *  is the CRC of byte b followed by k zero bytes. */
+struct Crc32Tables
+{
+    std::uint32_t t[8][256];
+};
+
+constexpr Crc32Tables
+makeCrc32Tables()
+{
+    Crc32Tables tab{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+        tab.t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k)
+        for (std::uint32_t i = 0; i < 256; ++i) {
+            const std::uint32_t prev = tab.t[k - 1][i];
+            tab.t[k][i] = (prev >> 8) ^ tab.t[0][prev & 0xffu];
+        }
+    return tab;
+}
+
+inline constexpr Crc32Tables kCrc32 = makeCrc32Tables();
+
+} // namespace detail
+
+/**
+ * CRC32 (IEEE 802.3 polynomial, reflected) over a byte span.
+ * Slicing-by-8: eight table lookups fold eight input bytes per step,
+ * giving the same value as the bytewise loop (pinned against it in
+ * tests/test_crc32.cc) at a fraction of the cost on multi-MB payloads.
+ */
 inline std::uint32_t
 crc32(const std::uint8_t *data, std::size_t n)
 {
-    static const auto table = [] {
-        std::vector<std::uint32_t> t(256);
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
+    const auto &t = detail::kCrc32.t;
     std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+    for (; n >= 8; n -= 8, data += 8) {
+        // Assembled byte by byte, so the fold is endian-neutral; it
+        // compiles to plain loads on little-endian hosts.
+        const std::uint32_t lo =
+            crc ^ (static_cast<std::uint32_t>(data[0]) |
+                   static_cast<std::uint32_t>(data[1]) << 8 |
+                   static_cast<std::uint32_t>(data[2]) << 16 |
+                   static_cast<std::uint32_t>(data[3]) << 24);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^
+              t[0][data[7]];
+    }
+    for (; n != 0; --n, ++data)
+        crc = t[0][(crc ^ *data) & 0xffu] ^ (crc >> 8);
     return crc ^ 0xffffffffu;
 }
 

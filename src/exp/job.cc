@@ -156,8 +156,7 @@ jobId(const JobSpec &spec)
 }
 
 JobResult
-runJob(const JobSpec &spec, std::size_t index,
-       const ckpt::CheckpointView *fork)
+runJob(const JobSpec &spec, std::size_t index, ckpt::CheckpointView fork)
 {
     JobResult out;
     out.index = index;
@@ -189,10 +188,10 @@ runJob(const JobSpec &spec, std::size_t index,
                     "job has a zero instruction budget");
             SystemConfig cfg = spec.cfg;
             cfg.policy = spec.policy;
-            if (fork != nullptr) {
+            if (fork) {
                 out.result = ckpt::runMixFromCheckpoint(
-                    cfg, spec.mix, spec.instr, spec.seedSalt, *fork,
-                    /*fork=*/true);
+                    cfg, spec.mix, spec.instr, spec.seedSalt,
+                    std::move(fork), /*fork=*/true);
             } else {
                 out.result = runMix(cfg, spec.mix, spec.instr,
                                     spec.seedSalt);

@@ -125,13 +125,15 @@ struct JobResult
  * (@note fatal()/panic() terminate the process by design — impossible
  * configurations should be rejected before sweep submission.)
  *
- * With @p fork the job skips its own functional warm-up and instead
- * restores the shared post-warmup checkpoint (policy section skipped),
- * which must match the spec's stateHash — the sweep runner's
- * warmup-fork mode. Ignored for custom jobs.
+ * With a non-empty @p fork the job skips its own functional warm-up
+ * and instead restores the shared post-warmup checkpoint (policy
+ * section skipped), which must match the spec's stateHash — the sweep
+ * runner's warmup-fork mode. The view is dropped once restored, so a
+ * caller that moves in its last reference frees the checkpoint before
+ * the timed run. Ignored for custom jobs.
  */
 JobResult runJob(const JobSpec &spec, std::size_t index,
-                 const ckpt::CheckpointView *fork = nullptr);
+                 ckpt::CheckpointView fork = {});
 
 } // namespace dapsim::exp
 

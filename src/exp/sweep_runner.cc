@@ -1,9 +1,10 @@
 #include "exp/sweep_runner.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <fstream>
+#include <utility>
 
-#include "exp/thread_pool.hh"
 #include "obs/chrome_trace.hh"
 
 namespace dapsim::exp
@@ -53,8 +54,95 @@ SweepRunner::buildForkGroups()
         const std::uint64_t key = warmupStateHash(spec);
         ForkGroup &g = groups_[key];
         g.stateHash = key;
+        ++g.unclaimed;
         jobGroup_[i] = &g;
     }
+}
+
+bool
+SweepRunner::claim(Claim &c)
+{
+    const std::size_t n = specs_.size();
+    while (firstUnclaimed_ < n && claimed_[firstUnclaimed_])
+        ++firstUnclaimed_;
+    // The lowest-index ready job; failing that, the first job of the
+    // next group whose warm-up nobody has started.
+    std::size_t pick = n;
+    bool warm = false;
+    for (std::size_t i = firstUnclaimed_; i < n; ++i) {
+        if (claimed_[i])
+            continue;
+        const ForkGroup *g = jobGroup_[i];
+        if (g == nullptr || g->warm == ForkGroup::Warm::Done) {
+            pick = i;
+            warm = false;
+            break;
+        }
+        if (g->warm == ForkGroup::Warm::NotStarted && pick == n) {
+            pick = i;
+            warm = true;
+        }
+    }
+    if (pick == n)
+        return false;
+
+    claimed_[pick] = true;
+    c.index = pick;
+    c.group = jobGroup_[pick];
+    c.warm = warm;
+    if (c.group != nullptr) {
+        ForkGroup &g = *c.group;
+        --g.unclaimed;
+        if (warm) {
+            g.warm = ForkGroup::Warm::Running;
+        } else if (g.unclaimed == 0) {
+            c.ckpt = std::exchange(g.ckpt, {});
+            c.lastOfGroup = true;
+        } else {
+            c.ckpt = g.ckpt;
+        }
+    }
+    return true;
+}
+
+void
+SweepRunner::warmUp(Claim &c)
+{
+    ForkGroup &g = *c.group;
+    const double start = phaseTracePath_.empty() ? 0.0 : nowUs();
+    WarmupCache::Result res = warmupCache_->ensure(specs_[c.index]);
+    // The span ends before the group's other jobs can be claimed.
+    recordSpan("warmup " + hashHex(g.stateHash), "warmup", start,
+               phaseTracePath_.empty() ? 0.0 : nowUs());
+    {
+        std::lock_guard lock(mutex_);
+        warmupsExecuted_ += res.executed ? 1 : 0;
+        g.warm = ForkGroup::Warm::Done;
+        if (g.unclaimed != 0)
+            g.ckpt = res.ckpt;
+        else
+            c.lastOfGroup = true;
+    }
+    warmDone_.notify_all();
+    c.ckpt = std::move(res.ckpt);
+}
+
+JobResult
+SweepRunner::execute(Claim c)
+{
+    const std::size_t i = c.index;
+    const double start = phaseTracePath_.empty() ? 0.0 : nowUs();
+    if (c.warm)
+        warmUp(c);
+    // With the group's last job claimed, only this job and its
+    // in-flight siblings still need the checkpoint: drop the cache's
+    // reference, so the bytes go when the last of them has restored.
+    if (c.lastOfGroup)
+        warmupCache_->release(c.group->stateHash);
+    JobResult r = runJob(specs_[i], i, std::move(c.ckpt));
+    recordSpan(specs_[i].displayLabel(), r.ok ? "job" : "failed",
+               start, nowUs());
+    return r;
 }
 
 std::size_t
@@ -107,33 +195,6 @@ SweepRunner::writePhaseTrace()
     trace.finish();
 }
 
-JobResult
-SweepRunner::execute(std::size_t i)
-{
-    ForkGroup *g = jobGroup_[i];
-    const double start = phaseTracePath_.empty() ? 0.0 : nowUs();
-    JobResult r;
-    if (g == nullptr) {
-        r = runJob(specs_[i], i);
-    } else {
-        std::call_once(g->once, [this, g, i] {
-            const double wstart =
-                phaseTracePath_.empty() ? 0.0 : nowUs();
-            const WarmupCache::Result res =
-                warmupCache_->ensure(specs_[i]);
-            g->ckpt = res.ckpt;
-            if (res.executed)
-                ++warmupsExecuted_;
-            recordSpan("warmup " + hashHex(g->stateHash), "warmup",
-                       wstart, nowUs());
-        });
-        r = runJob(specs_[i], i, g->ckpt ? &g->ckpt : nullptr);
-    }
-    recordSpan(specs_[i].displayLabel(), r.ok ? "job" : "failed",
-               start, nowUs());
-    return r;
-}
-
 void
 SweepRunner::drainReady()
 {
@@ -159,12 +220,51 @@ SweepRunner::drainReady()
     }
 }
 
+void
+SweepRunner::finish(std::size_t i, JobResult r)
+{
+    // Caller holds mutex_.
+    ++completed_;
+    if (progress_) {
+        std::fprintf(stderr, "[%zu/%zu] %s %s\n", completed_,
+                     specs_.size(), r.label.c_str(),
+                     r.ok ? "done" : ("FAILED: " + r.error).c_str());
+        std::fflush(stderr);
+    }
+    results_[i] = std::move(r);
+    done_[i] = true;
+    drainReady();
+}
+
+void
+SweepRunner::workerLoop()
+{
+    std::unique_lock lock(mutex_);
+    for (;;) {
+        Claim c;
+        if (!claim(c)) {
+            if (firstUnclaimed_ == specs_.size())
+                return;
+            // Every unclaimed job waits on a running warm-up.
+            warmDone_.wait(lock);
+            continue;
+        }
+        const std::size_t i = c.index;
+        lock.unlock();
+        JobResult r = execute(std::move(c));
+        lock.lock();
+        finish(i, std::move(r));
+    }
+}
+
 std::vector<JobResult>
 SweepRunner::run(std::size_t threads)
 {
     const std::size_t n = specs_.size();
     results_.assign(n, JobResult{});
     done_.assign(n, false);
+    claimed_.assign(n, false);
+    firstUnclaimed_ = 0;
     nextToDeliver_ = 0;
     completed_ = 0;
     warmupsExecuted_ = 0;
@@ -178,30 +278,14 @@ SweepRunner::run(std::size_t threads)
     for (ResultSink *sink : sinks_)
         sink->begin(n);
 
-    auto finish = [this, n](std::size_t i, JobResult r) {
-        std::lock_guard lock(mutex_);
-        ++completed_;
-        if (progress_) {
-            std::fprintf(stderr, "[%zu/%zu] %s %s\n", completed_, n,
-                         r.label.c_str(),
-                         r.ok ? "done" : ("FAILED: " + r.error).c_str());
-            std::fflush(stderr);
-        }
-        results_[i] = std::move(r);
-        done_[i] = true;
-        drainReady();
-    };
-
     if (threads <= 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            finish(i, execute(i));
+        workerLoop();
     } else {
-        ThreadPool pool(threads);
-        for (std::size_t i = 0; i < n; ++i)
-            pool.submit([this, i, &finish] {
-                finish(i, execute(i));
-            });
-        pool.wait();
+        // The caller only waits: simulations allocate in the workers'
+        // malloc arenas, not in the one the caller's own code reuses.
+        std::vector<std::jthread> workers;
+        for (std::size_t w = 0; w < std::min(threads, n); ++w)
+            workers.emplace_back([this] { workerLoop(); });
     }
 
     for (ResultSink *sink : sinks_) {

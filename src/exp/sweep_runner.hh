@@ -1,7 +1,8 @@
 /**
  * @file
- * SweepRunner: expand parameter grids into jobs, run them on a thread
- * pool, and deliver results in submission order.
+ * SweepRunner: expand parameter grids into jobs, run them on worker
+ * threads that schedule around shared warm-ups, and deliver results in
+ * submission order.
  *
  * Determinism contract: every job builds its own EventQueue, System,
  * and generator Rngs from the spec alone (audited: the simulator keeps
@@ -17,8 +18,8 @@
 #ifndef DAPSIM_EXP_SWEEP_RUNNER_HH
 #define DAPSIM_EXP_SWEEP_RUNNER_HH
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -64,6 +65,9 @@ class SweepRunner
      * the group from the in-memory checkpoint with its own policy and
      * fresh statistics. Results are bit-identical to a non-forked
      * sweep because the warm state never depends on the policy.
+     * Workers overlap the warm-ups of different groups and each
+     * in-memory checkpoint is freed once its group's last job has
+     * restored (see run()).
      *
      * With a non-empty @p ckpt_dir the per-group checkpoints are also
      * kept on disk as `warmup-<statehash>.ckpt` and reused by later
@@ -101,6 +105,13 @@ class SweepRunner
      * thread) and return results indexed by submission order. Sinks
      * receive each result as soon as its submission-order predecessors
      * have been delivered, regardless of completion order.
+     *
+     * Scheduling: a free worker claims the lowest-index ready job — one
+     * that is unforked or whose group checkpoint exists. When none is
+     * ready it claims the first job of the next group whose warm-up has
+     * not started and runs that warm-up inside the job. A worker waits
+     * only when every unclaimed job belongs to a group whose warm-up
+     * is running. At most @p threads checkpoints are live at once.
      */
     std::vector<JobResult> run(std::size_t threads = 1);
 
@@ -109,10 +120,27 @@ class SweepRunner
     struct ForkGroup
     {
         std::uint64_t stateHash = 0;
-        std::once_flag once;
-        /** Shared snapshot; null when preparation failed (the group's
-         *  jobs then fall back to running their own warm-up). */
+        enum class Warm { NotStarted, Running, Done };
+        Warm warm = Warm::NotStarted;
+        /** Shared snapshot while the group has unclaimed jobs; null
+         *  once the last one has taken it, and when preparation failed
+         *  (the group's jobs then run their own warm-up). */
         ckpt::CheckpointView ckpt;
+        /** Jobs of the group no worker has claimed yet. */
+        std::size_t unclaimed = 0;
+    };
+
+    /** A job a worker has claimed. */
+    struct Claim
+    {
+        std::size_t index = 0;
+        ForkGroup *group = nullptr;
+        /** Run the group's warm-up before the job. */
+        bool warm = false;
+        /** The group checkpoint the job forks from (empty: unforked). */
+        ckpt::CheckpointView ckpt;
+        /** The group's last job: no one else will take the checkpoint. */
+        bool lastOfGroup = false;
     };
 
     /** Deliver any contiguous completed prefix to the sinks. A sink
@@ -123,8 +151,22 @@ class SweepRunner
     /** Map each job to its fork group (null = run unforked). */
     void buildForkGroups();
 
-    /** Run job @p i, forking from its group's checkpoint if any. */
-    JobResult execute(std::size_t i);
+    /** Claim the next job per the run() policy (caller holds mutex_);
+     *  false when none can start now. */
+    bool claim(Claim &c);
+
+    /** Run @p c's group warm-up, publish the checkpoint to the rest of
+     *  the group, and store the job's own reference in @p c.ckpt. */
+    void warmUp(Claim &c);
+
+    /** Run a claimed job (its group warm-up first, if it owns it). */
+    JobResult execute(Claim c);
+
+    /** Claim, execute and finish jobs until none are left. */
+    void workerLoop();
+
+    /** Record job @p i's result and deliver what is in order. */
+    void finish(std::size_t i, JobResult r);
 
     /** One wall-clock span for the phase trace. */
     struct PhaseSpan
@@ -154,13 +196,18 @@ class SweepRunner
 
     bool warmupFork_ = false;
     std::string ckptDir_;
-    std::atomic<std::uint64_t> warmupsExecuted_{0};
+    std::uint64_t warmupsExecuted_ = 0;
     std::unique_ptr<WarmupCache> warmupCache_;
     std::map<std::uint64_t, ForkGroup> groups_;
     std::vector<ForkGroup *> jobGroup_;
 
-    // run() state
+    // run() state, guarded by mutex_ (the group fields above too)
     std::mutex mutex_;
+    /** Signalled when a warm-up finishes and its group's jobs become
+     *  ready. */
+    std::condition_variable warmDone_;
+    std::vector<bool> claimed_;
+    std::size_t firstUnclaimed_ = 0;
     std::vector<JobResult> results_;
     std::vector<bool> done_;
     std::size_t nextToDeliver_ = 0;

@@ -220,4 +220,16 @@ WarmupCache::ensure(const JobSpec &spec)
     return group->result;
 }
 
+void
+WarmupCache::release(std::uint64_t state_hash)
+{
+    std::shared_ptr<Group> dropped; // freed outside the map lock
+    std::lock_guard lock(mapMutex_);
+    const auto it = groups_.find(state_hash);
+    if (it == groups_.end())
+        return;
+    dropped = std::move(it->second);
+    groups_.erase(it);
+}
+
 } // namespace dapsim::exp

@@ -71,6 +71,13 @@ class WarmupCache
      */
     Result ensure(const JobSpec &spec);
 
+    /**
+     * Drop this cache's in-memory copy of group @p state_hash (views
+     * already handed out stay valid). For callers that know the group
+     * has no more jobs; a later ensure() prepares it afresh.
+     */
+    void release(std::uint64_t state_hash);
+
     /** Warmups simulated by this cache instance. */
     std::uint64_t executed() const { return executed_; }
 

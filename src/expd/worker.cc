@@ -80,11 +80,9 @@ runWorker(const WorkerOptions &opt)
         try {
             events.append(startRecord(i, worker_id));
 
-            const ckpt::CheckpointView *fork = nullptr;
             exp::WarmupCache::Result shared;
             if (!job.group.empty()) {
                 shared = warmups.ensure(job.spec);
-                fork = shared.ckpt ? &shared.ckpt : nullptr;
                 if (shared.executed || shared.reused) {
                     events.append(warmupRecord(job.group, worker_id,
                                                shared.executed));
@@ -93,7 +91,7 @@ runWorker(const WorkerOptions &opt)
                 }
             }
 
-            exp::JobResult r = exp::runJob(job.spec, i, fork);
+            exp::JobResult r = exp::runJob(job.spec, i, shared.ckpt);
             const std::string row = exp::jobResultToJson(r);
             if (r.ok) {
                 events.append(doneRecord(i, worker_id, row));

@@ -169,6 +169,17 @@ TEST(Serializer, SectionsFrameAndVerify)
     EXPECT_TRUE(d.atEnd());
 }
 
+TEST(Serializer, TakeMovesTheBufferOutAfterTheSectionCheck)
+{
+    ckpt::Serializer s;
+    s.u32(7);
+    s.beginSection("open");
+    EXPECT_THROW(std::move(s).take(), ckpt::CkptError);
+    s.endSection(); // the failed take() left the serializer intact
+    const std::vector<std::uint8_t> copy = s.buffer();
+    EXPECT_EQ(std::move(s).take(), copy);
+}
+
 TEST(Serializer, WrongSectionNameThrows)
 {
     ckpt::Serializer s;

@@ -2,16 +2,19 @@
  * @file
  * Tests for the experiment orchestration subsystem: determinism of
  * sweeps under concurrency, failure isolation, ordered delivery, and
- * the thread pool itself.
+ * the warm-up-aware scheduler.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 
+#include "common/json_reader.hh"
 #include "exp/sweep_runner.hh"
-#include "exp/thread_pool.hh"
 #include "sim/presets.hh"
 
 namespace dapsim
@@ -78,29 +81,6 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.wb, b.wb);
     EXPECT_EQ(a.ifrm, b.ifrm);
     EXPECT_EQ(a.sfrm, b.sfrm);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    exp::ThreadPool pool(4);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i)
-        pool.submit([&sum, i] { sum += i; });
-    pool.wait();
-    EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPool, WaitIsReusableAcrossBatches)
-{
-    exp::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { ++count; });
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
 }
 
 TEST(SweepRunner, GridExpansionIsMixMajor)
@@ -205,6 +185,219 @@ TEST(SweepRunner, SinksReceiveResultsInSubmissionOrder)
         EXPECT_EQ(sink.order_[i], i);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(results[i].result.ipc[0], static_cast<double>(i));
+}
+
+/**
+ * The scheduler's test grid, interleaved so no group's jobs are
+ * contiguous: three fork groups whose warm-ups differ in length, an
+ * unforkable custom job, and a group whose shared warm-up fails (its
+ * checkpoint cannot be published, see failWarmup()), so its jobs fall
+ * back to running their own warm-up.
+ */
+struct SchedulerGrid
+{
+    std::vector<exp::JobSpec> specs;
+    std::uint64_t failingGroup = 0;
+    static constexpr std::uint64_t kForkingGroups = 3;
+};
+
+SchedulerGrid
+schedulerGrid()
+{
+    auto job = [](std::uint64_t warm, const char *workload,
+                  PolicyKind policy) {
+        exp::JobSpec spec;
+        spec.cfg = tinySystem();
+        spec.cfg.warmupAccessesPerCore = warm;
+        spec.mix = tinyMix(workload);
+        spec.policy = policy;
+        spec.instr = 1'000;
+        spec.label = "w" + std::to_string(warm) + "/" + workload + "/" +
+                     exp::policyKindName(policy);
+        return spec;
+    };
+    exp::JobSpec custom;
+    custom.label = "custom";
+    custom.custom = [] {
+        RunResult r;
+        r.mixName = "custom";
+        r.ipc = {0.5};
+        return r;
+    };
+
+    SchedulerGrid g;
+    g.specs = {job(500, "mcf", PolicyKind::Baseline),
+               job(8'000, "bwaves", PolicyKind::Baseline),
+               custom,
+               job(2'000, "omnetpp", PolicyKind::Baseline),
+               job(1'000, "mcf", PolicyKind::Baseline),
+               job(500, "mcf", PolicyKind::Dap),
+               job(8'000, "bwaves", PolicyKind::Dap),
+               job(2'000, "omnetpp", PolicyKind::Dap),
+               job(1'000, "mcf", PolicyKind::Dap),
+               job(8'000, "bwaves", PolicyKind::Sbd)};
+    g.failingGroup = exp::warmupStateHash(g.specs[4]);
+    return g;
+}
+
+/** A fresh checkpoint directory in which @p group's checkpoint cannot
+ *  be published: a directory already sits at its path. */
+std::string
+failWarmup(const std::string &name, std::uint64_t group)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / name).string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(
+        exp::WarmupCache(dir).checkpointPath(group) + "/blocker");
+    return dir;
+}
+
+/** JSON-lines rows of a warmup-fork run of the scheduler grid; @p tag
+ *  keeps the checkpoint directories of concurrent tests apart. */
+std::string
+schedulerRows(const std::string &tag, std::size_t threads,
+              const std::string &phase_trace = "")
+{
+    const SchedulerGrid grid = schedulerGrid();
+    const std::string dir =
+        failWarmup("dapsim_sched_" + tag + "_" + std::to_string(threads),
+                   grid.failingGroup);
+    exp::SweepRunner runner;
+    for (const auto &spec : grid.specs)
+        runner.add(spec);
+    std::ostringstream rows;
+    exp::JsonLinesSink json(rows);
+    RecordingSink order;
+    runner.addSink(&json);
+    runner.addSink(&order);
+    runner.setWarmupFork(true, dir);
+    if (!phase_trace.empty())
+        runner.setPhaseTrace(phase_trace);
+    const auto results = runner.run(threads);
+    std::filesystem::remove_all(dir);
+
+    for (const auto &r : results)
+        EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
+    EXPECT_EQ(runner.warmupsExecuted(), SchedulerGrid::kForkingGroups)
+        << threads << " threads";
+    EXPECT_TRUE(order.ended_);
+    EXPECT_EQ(order.order_.size(), grid.specs.size());
+    for (std::size_t i = 0; i < order.order_.size(); ++i)
+        EXPECT_EQ(order.order_[i], i) << threads << " threads";
+    return rows.str();
+}
+
+TEST(SweepRunner, SchedulerRowsMatchSerialAtEveryThreadCount)
+{
+    // Unforked and serial: the rows every schedule must reproduce.
+    exp::SweepRunner plain;
+    for (const auto &spec : schedulerGrid().specs)
+        plain.add(spec);
+    std::ostringstream want;
+    exp::JsonLinesSink sink(want);
+    plain.addSink(&sink);
+    plain.run(1);
+
+    const std::string serial = schedulerRows("rows", 1);
+    EXPECT_EQ(serial, want.str());
+    for (std::size_t threads : {2, 3, 4, 8})
+        EXPECT_EQ(schedulerRows("rows", threads), serial)
+            << threads << " threads";
+}
+
+/** One span of a SweepRunner phase trace, in microseconds. */
+struct TraceSpan
+{
+    std::uint64_t tid = 0;
+    std::string name;
+    double start = 0;
+    double end = 0;
+};
+
+TEST(SweepRunner, PhaseTraceNestsEachWarmupInItsGroupsFirstJob)
+{
+    const SchedulerGrid grid = schedulerGrid();
+    std::map<std::string, std::string> group_of; // label -> group key
+    for (const auto &spec : grid.specs)
+        group_of[spec.displayLabel()] = exp::groupKey(spec);
+
+    for (std::size_t threads : {1, 2, 4, 8}) {
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             ("dapsim_sched_trace_" + std::to_string(threads) + ".json"))
+                .string();
+        schedulerRows("trace", threads, path);
+        std::ifstream in(path);
+        std::stringstream text;
+        text << in.rdbuf();
+        std::filesystem::remove(path);
+
+        const json::Value trace = json::parse(text.str());
+        std::vector<TraceSpan> jobs;
+        std::map<std::string, TraceSpan> warm; // group key -> span
+        for (const json::Value &e : trace.at("traceEvents").arr) {
+            if (e.at("ph").asString() != "X")
+                continue;
+            TraceSpan s{e.at("tid").asU64(), e.at("name").asString(),
+                        e.at("ts").asDouble(),
+                        e.at("ts").asDouble() + e.at("dur").asDouble()};
+            if (e.at("cat").asString() == "warmup") {
+                const std::string key = s.name.substr(7); // "warmup "
+                EXPECT_EQ(warm.count(key), 0u) << "two warm-ups: " << key;
+                warm[key] = s;
+            } else {
+                jobs.push_back(s);
+            }
+        }
+        ASSERT_EQ(jobs.size(), grid.specs.size());
+        // Every group ran its warm-up, the failing one included.
+        EXPECT_EQ(warm.size(), SchedulerGrid::kForkingGroups + 1);
+
+        constexpr double kEps = 1e-3; // ts + dur rounding, in us
+        for (const auto &[key, w] : warm) {
+            std::size_t hosts = 0;
+            for (const TraceSpan &j : jobs) {
+                if (group_of.at(j.name) != key)
+                    continue;
+                if (j.tid == w.tid && j.start <= w.start + kEps &&
+                    w.end <= j.end + kEps) {
+                    ++hosts;
+                    continue;
+                }
+                // No other job of the group starts before its warm-up
+                // has ended.
+                EXPECT_GE(j.start + kEps, w.end)
+                    << j.name << " started inside warm-up " << key
+                    << " at " << threads << " threads";
+            }
+            EXPECT_EQ(hosts, 1u)
+                << "warm-up " << key << " at " << threads << " threads";
+        }
+    }
+}
+
+TEST(SweepWarmupFork, CacheReleaseDropsOnlyThatGroup)
+{
+    exp::JobSpec a;
+    a.cfg = tinySystem();
+    a.mix = tinyMix("mcf");
+    a.instr = 1'000;
+    exp::JobSpec b = a;
+    b.mix = tinyMix("bwaves");
+
+    exp::WarmupCache cache("");
+    const auto first = cache.ensure(a);
+    ASSERT_TRUE(first.ckpt);
+    EXPECT_TRUE(cache.ensure(b).executed);
+    cache.release(exp::warmupStateHash(a));
+    // A view handed out before the release stays valid.
+    EXPECT_EQ(first.ckpt.header.stateHash, exp::warmupStateHash(a));
+    EXPECT_EQ(exp::runJob(a, 0, first.ckpt).ok, true);
+    // The released group is prepared afresh; the other is still held.
+    EXPECT_TRUE(cache.ensure(a).executed);
+    EXPECT_FALSE(cache.ensure(b).executed);
+    EXPECT_EQ(cache.executed(), 3u);
 }
 
 TEST(Job, EchoesSpecIdentityFields)

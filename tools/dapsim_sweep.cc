@@ -3,9 +3,9 @@
  * dapsim_sweep — parallel grid-sweep driver.
  *
  * Expands an arch x capacity x policy x workload grid into jobs, runs
- * them on a thread pool, and writes results as a console table and/or
- * a JSON-lines artifact. Results are emitted in grid order no matter
- * how jobs interleave, and the metrics are bit-identical for any
+ * them on --jobs worker threads, and writes results as a console table
+ * and/or a JSON-lines artifact. Results are emitted in grid order no
+ * matter how jobs interleave, and the metrics are bit-identical for any
  * --jobs value (each job owns its whole simulation state).
  *
  * The grid expansion itself lives in src/expd/grid.cc and is shared
