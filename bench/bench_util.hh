@@ -13,7 +13,6 @@
 #ifndef DAPSIM_BENCH_BENCH_UTIL_HH
 #define DAPSIM_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/parse_number.hh"
 #include "exp/sweep_runner.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
@@ -28,27 +28,13 @@
 namespace dapsim::bench
 {
 
-/** Parse a strictly-positive decimal integer; 0 on any malformation. */
-inline std::uint64_t
-parsePositive(const char *s)
-{
-    if (!s || *s == '\0')
-        return 0;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (errno != 0 || end == s || *end != '\0')
-        return 0;
-    return v;
-}
-
 /** Instructions per core for bench runs (reduced-scale methodology). */
 inline std::uint64_t
 benchInstructions()
 {
     constexpr std::uint64_t kDefault = 120'000;
     if (const char *env = std::getenv("DAPSIM_BENCH_INSTR")) {
-        const std::uint64_t v = parsePositive(env);
+        const std::uint64_t v = parseUnsigned(env).value_or(0);
         if (v == 0) {
             warn("invalid DAPSIM_BENCH_INSTR '" + std::string(env) +
                  "'; using default " + std::to_string(kDefault));
@@ -70,14 +56,14 @@ benchJobs(int argc, char **argv)
 {
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::string(argv[i]) == "--jobs") {
-            const std::uint64_t v = parsePositive(argv[i + 1]);
+            const std::uint64_t v = parseUnsigned(argv[i + 1]).value_or(0);
             if (v == 0)
                 fatal("--jobs expects a positive integer");
             return v;
         }
     }
     if (const char *env = std::getenv("DAPSIM_BENCH_JOBS")) {
-        const std::uint64_t v = parsePositive(env);
+        const std::uint64_t v = parseUnsigned(env).value_or(0);
         if (v == 0) {
             warn("invalid DAPSIM_BENCH_JOBS '" + std::string(env) +
                  "'; running serially");

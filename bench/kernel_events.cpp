@@ -40,6 +40,8 @@
 #include "cache/assoc_cache.hh"
 #include "common/event_queue.hh"
 #include "common/json_writer.hh"
+#include "common/log.hh"
+#include "common/parse_number.hh"
 #include "common/rng.hh"
 #include "reference_assoc_cache.hh"
 #include "reference_event_queue.hh"
@@ -385,7 +387,12 @@ double
 envDouble(const char *name)
 {
     const char *v = std::getenv(name);
-    return v ? std::atof(v) : 0.0;
+    if (!v)
+        return 0.0;
+    if (const auto d = parseFinite(v))
+        return *d;
+    fatal(std::string(name) + " expects a finite decimal number, got '" +
+          v + "'");
 }
 
 } // namespace
@@ -405,11 +412,15 @@ main(int argc, char **argv)
         else if (std::strcmp(argv[i], "--e2e-only") == 0)
             e2eOnly = true;
         else if (std::strcmp(argv[i], "--e2e-reps") == 0 &&
-                 i + 1 < argc)
+                 i + 1 < argc) {
             // Repeat the end-to-end scenario (best-of) — for stable
             // wall-clock numbers and long profiling runs.
-            e2eReps = std::atoi(argv[++i]);
-        else {
+            const auto reps = parseUnsigned<std::uint16_t>(argv[++i]);
+            if (!reps || *reps == 0)
+                fatal("--e2e-reps expects a positive integer, got '" +
+                      std::string(argv[i]) + "'");
+            e2eReps = *reps;
+        } else {
             std::cerr << "usage: kernel_events [--out FILE]"
                          " [--skip-e2e] [--e2e-only]"
                          " [--e2e-reps N]\n";

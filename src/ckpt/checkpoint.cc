@@ -158,10 +158,7 @@ describeMix(const Mix &mix)
 std::uint64_t
 resolveWarmCount(const SystemConfig &cfg)
 {
-    std::uint64_t warm = cfg.warmupAccessesPerCore;
-    if (warm == 0)
-        warm = 2 * (cfg.msCapacityBytes() / kBlockBytes) / cfg.numCores;
-    return warm;
+    return cfg.warmupPerCore();
 }
 
 std::uint64_t

@@ -121,7 +121,8 @@ std::string describeMix(const Mix &mix);
 /** Stable integer id of an MsArch (the header's archId field). */
 std::uint32_t archIdOf(MsArch arch);
 
-/** The warm-up count runMix would execute for @p cfg (same formula). */
+/** The warm-up count runMix executes for @p cfg
+ *  (SystemConfig::warmupPerCore). */
 std::uint64_t resolveWarmCount(const SystemConfig &cfg);
 
 /**

@@ -16,14 +16,14 @@
 #ifndef DAPSIM_COMMON_JSON_READER_HH
 #define DAPSIM_COMMON_JSON_READER_HH
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/parse_number.hh"
 
 namespace dapsim::json
 {
@@ -90,14 +90,9 @@ struct Value
     {
         if (kind != Kind::Number)
             throw JsonError("json: expected a number");
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(text.c_str(), &end, 10);
-        if (errno != 0 || end == text.c_str() || *end != '\0')
-            throw JsonError("json: '" + text +
-                            "' is not an unsigned integer");
-        return v;
+        if (const auto v = parseUnsigned(text))
+            return *v;
+        throw JsonError("json: '" + text + "' is not an unsigned integer");
     }
 
     double
@@ -105,12 +100,9 @@ struct Value
     {
         if (kind != Kind::Number)
             throw JsonError("json: expected a number");
-        errno = 0;
-        char *end = nullptr;
-        const double v = std::strtod(text.c_str(), &end);
-        if (errno != 0 || end == text.c_str() || *end != '\0')
-            throw JsonError("json: '" + text + "' is not a number");
-        return v;
+        if (const auto v = parseFinite(text))
+            return *v;
+        throw JsonError("json: '" + text + "' is not a number");
     }
 };
 

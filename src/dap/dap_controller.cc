@@ -58,6 +58,10 @@ DapPolicy::DapPolicy(const DapConfig &cfg) : cfg_(cfg), k_(cfg.ratioK())
 {
     if (cfg_.windowCycles == 0)
         fatal("DapPolicy: window must be non-zero");
+    // The per-window budgets floor efficiency x peak x window into an
+    // int64 (undefined for NaN); analytic mode enforces the same range.
+    if (!(cfg_.efficiency > 0.0 && cfg_.efficiency <= 1.0))
+        fatal("DapPolicy: efficiency must be in (0, 1]");
 }
 
 void

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/json_writer.hh"
 #include "common/log.hh"
 #include "sim/presets.hh"
 #include "workload/compose.hh"
@@ -10,49 +9,6 @@
 
 namespace dapsim::expd
 {
-
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        const std::size_t comma = s.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? s.size() : comma;
-        if (end > pos)
-            out.push_back(s.substr(pos, end - pos));
-        pos = end + 1;
-    }
-    if (out.empty())
-        fatal("empty list argument");
-    return out;
-}
-
-std::vector<std::string>
-splitWorkloadList(const std::string &s)
-{
-    // Workload-engine specs contain commas themselves
-    // (zipf:skew=0.99,fp=64M): after the plain comma split, any token
-    // that is a key=value continuation — '=' before any ':' — folds
-    // back into the preceding element.
-    std::vector<std::string> out;
-    for (const auto &tok : splitList(s)) {
-        const std::size_t eq = tok.find('=');
-        const std::size_t colon = tok.find(':');
-        const bool continuation =
-            eq != std::string::npos &&
-            (colon == std::string::npos || eq < colon);
-        if (continuation && !out.empty())
-            out.back() += "," + tok;
-        else if (continuation)
-            fatal("--workload: '" + tok +
-                  "' continues a spec but no spec precedes it");
-        else
-            out.push_back(tok);
-    }
-    return out;
-}
 
 SystemConfig
 archConfig(const std::string &arch, std::uint64_t capacity_mb)
@@ -72,6 +28,26 @@ archConfig(const std::string &arch, std::uint64_t capacity_mb)
         fatal("unknown arch: " + arch);
     }
     return cfg;
+}
+
+void
+applyGridPoint(const GridOptions &opt, SystemConfig &cfg)
+{
+    cfg.numCores = opt.cores;
+    if (opt.warmup)
+        cfg.warmupAccessesPerCore = opt.warmup;
+    if (opt.remote) {
+        cfg.remote.enabled = true;
+        cfg.remote.bwScaleFactor = opt.remoteScale;
+        cfg.remote.addLatencyNs = opt.remoteLatencyNs;
+        cfg.remote.maxOutstanding = opt.remoteOutstanding;
+    }
+    if (!fidelityModeFromName(opt.fidelity, cfg.fidelity.mode))
+        fatal("unknown fidelity: " + opt.fidelity);
+    if (opt.fidelityDetail)
+        cfg.fidelity.detailInstr = opt.fidelityDetail;
+    if (opt.fidelityPeriod)
+        cfg.fidelity.periodInstr = opt.fidelityPeriod;
 }
 
 namespace
@@ -146,22 +122,7 @@ expandGrid(const GridOptions &opt)
     for (const auto &arch : opt.archs) {
         for (std::uint64_t cap : opt.capacitiesMb) {
             SystemConfig cfg = archConfig(arch, cap);
-            cfg.numCores = opt.cores;
-            if (opt.warmup)
-                cfg.warmupAccessesPerCore = opt.warmup;
-            if (opt.remote) {
-                cfg.remote.enabled = true;
-                cfg.remote.bwScaleFactor = opt.remoteScale;
-                cfg.remote.addLatencyNs = opt.remoteLatencyNs;
-                cfg.remote.maxOutstanding = opt.remoteOutstanding;
-            }
-            if (!fidelityModeFromName(opt.fidelity,
-                                      cfg.fidelity.mode))
-                fatal("unknown fidelity: " + opt.fidelity);
-            if (opt.fidelityDetail)
-                cfg.fidelity.detailInstr = opt.fidelityDetail;
-            if (opt.fidelityPeriod)
-                cfg.fidelity.periodInstr = opt.fidelityPeriod;
+            applyGridPoint(opt, cfg);
             for (const auto &gw : workloads) {
                 for (const auto &policy : opt.policies) {
                     exp::JobSpec spec;
@@ -200,76 +161,6 @@ expandGrid(const GridOptions &opt)
         }
     }
     return out;
-}
-
-std::string
-encodeGridOptions(const GridOptions &opt)
-{
-    json::JsonWriter w;
-    w.beginObject();
-    auto strings = [&w](const char *key,
-                        const std::vector<std::string> &v) {
-        w.key(key).beginArray();
-        for (const auto &s : v)
-            w.value(s);
-        w.endArray();
-    };
-    strings("archs", opt.archs);
-    strings("policies", opt.policies);
-    strings("workloads", opt.workloads);
-    w.key("capacities_mb").beginArray();
-    for (std::uint64_t c : opt.capacitiesMb)
-        w.value(c);
-    w.endArray();
-    w.key("cores").value(opt.cores);
-    w.key("instr").value(opt.instr);
-    w.key("seed").value(opt.seed);
-    w.key("warmup").value(opt.warmup);
-    w.key("remote").value(opt.remote);
-    w.key("remote_scale").value(opt.remoteScale);
-    w.key("remote_latency_ns").value(opt.remoteLatencyNs);
-    w.key("remote_outstanding").value(opt.remoteOutstanding);
-    w.key("fidelity").value(opt.fidelity);
-    w.key("fidelity_detail").value(opt.fidelityDetail);
-    w.key("fidelity_period").value(opt.fidelityPeriod);
-    w.endObject();
-    return w.str();
-}
-
-GridOptions
-decodeGridOptions(const json::Value &v)
-{
-    GridOptions opt;
-    auto strings = [&v](const char *key) {
-        std::vector<std::string> out;
-        for (const auto &e : v.at(key).arr)
-            out.push_back(e.asString());
-        return out;
-    };
-    opt.archs = strings("archs");
-    opt.policies = strings("policies");
-    opt.workloads = strings("workloads");
-    opt.capacitiesMb.clear();
-    for (const auto &e : v.at("capacities_mb").arr)
-        opt.capacitiesMb.push_back(e.asU64());
-    opt.cores = static_cast<std::uint32_t>(v.at("cores").asU64());
-    opt.instr = v.at("instr").asU64();
-    opt.seed = v.at("seed").asU64();
-    opt.warmup = v.at("warmup").asU64();
-    opt.remote = v.at("remote").asBool();
-    opt.remoteScale = v.at("remote_scale").asDouble();
-    opt.remoteLatencyNs = v.at("remote_latency_ns").asDouble();
-    opt.remoteOutstanding = static_cast<std::uint32_t>(
-        v.at("remote_outstanding").asU64());
-    // Fidelity keys postdate dapsim.expq.v1 manifests; stores written
-    // before them decode with the exact-mode defaults.
-    if (const json::Value *f = v.find("fidelity"))
-        opt.fidelity = f->asString();
-    if (const json::Value *f = v.find("fidelity_detail"))
-        opt.fidelityDetail = f->asU64();
-    if (const json::Value *f = v.find("fidelity_period"))
-        opt.fidelityPeriod = f->asU64();
-    return opt;
 }
 
 } // namespace dapsim::expd

@@ -15,7 +15,8 @@
  * silently change what "job 17" means).
  *
  * GridOptions round-trips through a canonical JSON encoding
- * (encodeGridOptions / decodeGridOptions) for the store manifest.
+ * (encodeGridOptions / decodeGridOptions) for the store manifest; the
+ * command-line option table (cli_options.hh) defines both.
  */
 
 #ifndef DAPSIM_EXPD_GRID_HH
@@ -64,17 +65,15 @@ struct ExpandedJob
     std::string group; ///< warmup-fork group key ("" = unforkable)
 };
 
-/** Split a comma-separated list; fatal() on an empty result. */
-std::vector<std::string> splitList(const std::string &s);
-
-/** Split a --workload list, folding spec key=value continuations back
- *  into their spec (see dapsim_sweep --workload docs). */
-std::vector<std::string> splitWorkloadList(const std::string &s);
-
 /** Base SystemConfig for an arch name + capacity; fatal() on unknown
  *  arch names (reject before submission, like other config errors). */
 SystemConfig archConfig(const std::string &arch,
                         std::uint64_t capacity_mb);
+
+/** Apply @p opt's per-point knobs (cores, warm-up, remote tier,
+ *  fidelity) to an arch's base config; fatal() on an unknown fidelity
+ *  mode. expandGrid and dapsim's configuration share it. */
+void applyGridPoint(const GridOptions &opt, SystemConfig &cfg);
 
 /**
  * Expand @p opt into grid order. Unknown workload names become

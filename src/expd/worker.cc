@@ -19,6 +19,10 @@ runWorker(const WorkerOptions &opt)
 {
     if (opt.shardCount == 0 || opt.shardIndex >= opt.shardCount)
         throw StoreError("expq: worker shard must be i/N with i < N");
+    // Store::tryLease reaps a lease when its age > TTL: a NaN TTL never
+    // reaps a dead worker's lease, and a negative one reaps live ones.
+    if (!(opt.leaseTtlSec > 0.0))
+        throw StoreError("expq: worker --lease-ttl must be > 0 seconds");
 
     const Store store = Store::open(opt.storeDir);
     // std::string("w") + ... rather than "w" + ...: the const char*

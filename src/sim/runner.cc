@@ -22,11 +22,7 @@ runMix(SystemConfig cfg, const Mix &mix, std::uint64_t instr_per_core,
         gens.push_back(makeGenerator(mix.apps[i], i, seed_salt));
 
     System sys(cfg, std::move(gens));
-    std::uint64_t warm = cfg.warmupAccessesPerCore;
-    if (warm == 0)
-        warm = 2 * (cfg.msCapacityBytes() / kBlockBytes) /
-               cfg.numCores;
-    sys.warmup(warm);
+    sys.warmup(cfg.warmupPerCore());
     return runFidelityOn(sys, mix.name, instr_per_core);
 }
 
@@ -41,10 +37,7 @@ aloneIpc(SystemConfig cfg, const WorkloadProfile &profile,
     gens.push_back(makeGenerator(profile, 0, seed_salt));
 
     System sys(cfg, std::move(gens));
-    std::uint64_t warm = cfg.warmupAccessesPerCore;
-    if (warm == 0)
-        warm = 2 * (cfg.msCapacityBytes() / kBlockBytes);
-    sys.warmup(warm);
+    sys.warmup(cfg.warmupPerCore());
     sys.run();
     return sys.core(0).finished()
                ? sys.core(0).finishIpc()

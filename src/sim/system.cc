@@ -52,6 +52,14 @@ SystemConfig::msCapacityBytes() const
     return 0;
 }
 
+std::uint64_t
+SystemConfig::warmupPerCore() const
+{
+    if (warmupAccessesPerCore != 0)
+        return warmupAccessesPerCore;
+    return 2 * (msCapacityBytes() / kBlockBytes) / numCores;
+}
+
 double
 msPeakAccPerCycle(const SystemConfig &cfg)
 {

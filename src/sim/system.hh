@@ -109,6 +109,10 @@ struct SystemConfig
 
     /** MS$ capacity in bytes for the active architecture. */
     std::uint64_t msCapacityBytes() const;
+
+    /** The warm-up length every run path executes:
+     *  warmupAccessesPerCore, or when 0, 2 x MS$ blocks / cores. */
+    std::uint64_t warmupPerCore() const;
 };
 
 /** A fully wired simulated system. */

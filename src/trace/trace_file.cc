@@ -100,17 +100,19 @@ TraceFileGenerator::next(TraceRequest &out)
     return true;
 }
 
-void
-writeTraceFile(const std::string &path,
-               const std::vector<TraceRequest> &records)
+std::uint64_t
+writeTraceFile(const std::string &path, AccessGenerator &gen,
+               std::uint64_t max_records)
 {
     std::ofstream out(path);
-    if (!out)
-        fatal("trace: cannot write " + path);
     out << "# dapsim trace: <instr_gap> <r|w> <hex_address>\n";
-    for (const auto &r : records)
+    std::uint64_t n = 0;
+    for (TraceRequest r; n < max_records && out && gen.next(r); ++n)
         out << r.instrGap << ' ' << (r.isWrite ? 'w' : 'r') << ' '
             << std::hex << "0x" << r.addr << std::dec << '\n';
+    if (!out.flush())
+        fatal("trace: cannot write " + path);
+    return n;
 }
 
 } // namespace dapsim

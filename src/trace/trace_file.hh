@@ -76,9 +76,11 @@ class TraceFileGenerator final : public AccessGenerator
     std::uint64_t loops_ = 0;
 };
 
-/** Write records to @p path in the trace-file format (tools, tests). */
-void writeTraceFile(const std::string &path,
-                    const std::vector<TraceRequest> &records);
+/** Write up to @p max_records records drawn from @p gen to @p path in
+ *  the trace-file format, each as it is drawn; returns how many were
+ *  written. fatal() when the file cannot be written. */
+std::uint64_t writeTraceFile(const std::string &path, AccessGenerator &gen,
+                             std::uint64_t max_records);
 
 } // namespace dapsim
 

@@ -1,8 +1,7 @@
 #include "workload/compose.hh"
 
-#include <cstdlib>
-
 #include "common/log.hh"
+#include "common/parse_number.hh"
 #include "common/validate.hh"
 #include "workload/spec.hh"
 
@@ -25,13 +24,13 @@ struct Tenant
 std::uint32_t
 parseCores(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || v == 0)
+    const auto v = parseUnsigned<std::uint32_t>(value);
+    if (!v || *v == 0)
         fatal("mix: " + key + ".cores expects a positive integer, got '" +
               value + "'");
-    return static_cast<std::uint32_t>(v);
+    return *v;
 }
+
 
 /** Rebuild the canonical per-tenant spec text for an engine tenant. */
 std::string
@@ -52,14 +51,20 @@ WorkloadProfile
 classicTenantProfile(const Tenant &t)
 {
     WorkloadProfile w = workloadByName(t.kind);
+    auto number = [&t](const std::string &param, const std::string &value) {
+        if (const auto v = parseFinite(value))
+            return *v;
+        fatal("mix: " + t.key + "." + param + " expects a number, got '" +
+              value + "'");
+    };
     for (const auto &p : t.params) {
         if (p.first == "mpki")
             w.params.mpki = checkMpki("mix: " + t.key + ".mpki",
-                                      std::strtod(p.second.c_str(), nullptr));
+                                      number(p.first, p.second));
         else if (p.first == "write")
             w.params.writeFraction =
                 checkUnitInterval("mix: " + t.key + ".write",
-                                  std::strtod(p.second.c_str(), nullptr));
+                                  number(p.first, p.second));
         else
             fatal("mix: classic profile tenant " + t.key + " (" + t.kind +
                   ") only accepts mpki and write overrides, got '" +

@@ -1,9 +1,11 @@
 #include "workload/spec.hh"
 
-#include <cstdlib>
+#include <cctype>
+#include <limits>
 #include <map>
 
 #include "common/log.hh"
+#include "common/parse_number.hh"
 #include "common/validate.hh"
 #include "workload/generators.hh"
 #include "workload/spec_names.hh"
@@ -30,46 +32,38 @@ double
 parseDouble(const std::string &kind, const std::string &key,
             const std::string &text)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        fatal(kind + ": parameter '" + key + "' expects a number, got '" +
-              text + "'");
-    return v;
+    if (const auto v = parseFinite(text))
+        return *v;
+    fatal(kind + ": parameter '" + key + "' expects a number, got '" + text +
+          "'");
 }
 
 std::uint64_t
 parseCount(const std::string &kind, const std::string &key,
            const std::string &text)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
-        fatal(kind + ": parameter '" + key +
-              "' expects an integer, got '" + text + "'");
-    return v;
+    if (const auto v = parseUnsigned(text))
+        return *v;
+    fatal(kind + ": parameter '" + key + "' expects an integer, got '" +
+          text + "'");
 }
 
+/** An unsigned decimal with an optional K/M/G suffix, in bytes. */
 std::uint64_t
 parseSize(const std::string &kind, const std::string &key,
           const std::string &text)
 {
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str())
-        fatal(kind + ": parameter '" + key + "' expects a size, got '" +
-              text + "'");
-    std::uint64_t mult = 1;
-    if (*end == 'k' || *end == 'K')
-        mult = kKiB, ++end;
-    else if (*end == 'm' || *end == 'M')
-        mult = kMiB, ++end;
-    else if (*end == 'g' || *end == 'G')
-        mult = kMiB * 1024, ++end;
-    if (*end != '\0')
+    const int unit = text.empty() ? 0 : std::toupper(text.back());
+    const std::uint64_t mult = unit == 'K'   ? kKiB
+                               : unit == 'M' ? kMiB
+                               : unit == 'G' ? kMiB * 1024
+                                             : 1;
+    const auto v = parseUnsigned(
+        std::string_view(text).substr(0, text.size() - (mult != 1)));
+    if (!v || *v > std::numeric_limits<std::uint64_t>::max() / mult)
         fatal(kind + ": parameter '" + key + "' expects a size with an "
               "optional K/M/G suffix, got '" + text + "'");
-    return v * mult;
+    return *v * mult;
 }
 
 /**

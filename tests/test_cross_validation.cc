@@ -97,16 +97,10 @@ TEST(CrossValidation, TraceReplayMatchesGeneratorTiming)
 
     // Export one core's stream.
     auto gen = makeGenerator(w, 0);
-    std::vector<TraceRequest> recs;
-    TraceRequest r;
-    for (int i = 0; i < 40'000; ++i) {
-        gen->next(r);
-        recs.push_back(r);
-    }
     const std::string path =
         (std::filesystem::temp_directory_path() / "xval.trace")
             .string();
-    writeTraceFile(path, recs);
+    ASSERT_EQ(writeTraceFile(path, *gen, 40'000), 40'000u);
 
     auto runWith = [&](bool from_file) {
         std::vector<AccessGeneratorPtr> gens;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dap/dap_controller.hh"
 
 namespace dapsim
@@ -42,6 +44,18 @@ TEST(DapConfigDeathTest, UnsetBandwidthIsFatal)
 {
     DapConfig cfg;
     EXPECT_DEATH((void)cfg.ratioK(), "bandwidths");
+}
+
+TEST(DapConfigDeathTest, EfficiencyOutsideUnitIntervalIsFatal)
+{
+    for (double e : {0.0, -0.5, 1.5, std::nan("")}) {
+        DapConfig cfg = baseConfig();
+        cfg.efficiency = e;
+        EXPECT_DEATH(DapPolicy{cfg}, "efficiency must be in \\(0, 1\\]");
+    }
+    DapConfig full = baseConfig();
+    full.efficiency = 1.0;
+    DapPolicy ok(full);
 }
 
 WindowCounters

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "expd/cli_options.hh"
 #include "expd/ledger.hh"
 #include "expd/store.hh"
 
@@ -169,8 +170,10 @@ TEST(ExpqLedger, JobIdIgnoresObservabilityDecoration)
 
 TEST(ExpqLedger, WorkloadListSplitsSpecContinuations)
 {
-    const auto parts = expd::splitWorkloadList(
-        "mcf,zipf:skew=0.99,fp=64M,flood");
+    const auto parts =
+        expd::parseOptions(expd::kSweep,
+                           {"--workload", "mcf,zipf:skew=0.99,fp=64M,flood"})
+            .grid.workloads;
     ASSERT_EQ(parts.size(), 3u);
     EXPECT_EQ(parts[0], "mcf");
     EXPECT_EQ(parts[1], "zipf:skew=0.99,fp=64M");

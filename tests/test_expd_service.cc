@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -168,6 +169,19 @@ TEST(ExpqWorker, ShardsPartitionTheGrid)
     EXPECT_EQ(b.warmupsExecuted, 0u);
     EXPECT_EQ(b.warmupsReused, 2u);
     std::filesystem::remove_all(dir);
+}
+
+TEST(ExpqWorker, RejectsShardsAndLeaseTtlsOutOfRange)
+{
+    // Lease reaping tests age > TTL: a NaN TTL would never reap a dead
+    // worker's lease and a negative one would reap live ones.
+    for (double ttl : {0.0, -1.0, std::nan("")}) {
+        expd::WorkerOptions opt = workerOpts("unused", "w");
+        opt.leaseTtlSec = ttl;
+        EXPECT_THROW(expd::runWorker(opt), expd::StoreError) << ttl;
+    }
+    EXPECT_THROW(expd::runWorker(workerOpts("unused", "w", 2, 2)),
+                 expd::StoreError);
 }
 
 TEST(ExpqWorker, MaxJobsStopsEarlyAndResumeFinishes)

@@ -135,7 +135,8 @@ TEST(TraceFile, RoundTripsThroughDisk)
     const std::string path =
         (std::filesystem::temp_directory_path() / "dapsim_test.trace")
             .string();
-    writeTraceFile(path, sampleRecords());
+    TraceFileGenerator records(sampleRecords());
+    ASSERT_EQ(writeTraceFile(path, records, 3), 3u);
     TraceFileGenerator g(path);
     EXPECT_EQ(g.records(), 3u);
     TraceRequest r;

@@ -134,6 +134,15 @@ TEST(WorkloadSpecDeath, RejectsBadSpecs)
     EXPECT_DEATH(workload::validateSpec("wat:x=1"),
                  "unknown workload-spec kind");
     EXPECT_DEATH(workload::validateSpec("zipf:skew"), "key=value");
+    // Sizes and counts are plain decimals: no wrap through a sign or a
+    // suffix multiplier.
+    EXPECT_DEATH(workload::validateSpec("zipf:fp=-1"), "'fp' expects a size");
+    EXPECT_DEATH(workload::validateSpec("zipf:fp=99999999999G"),
+                 "'fp' expects a size");
+    EXPECT_DEATH(workload::validateSpec("zipf:seed=-1"),
+                 "'seed' expects an integer");
+    EXPECT_DEATH(workload::validateSpec("zipf:skew=nan"),
+                 "'skew' expects a number");
 }
 
 TEST(WorkloadSpecDeath, SyntheticParamsRejectOutOfRangeDials)
@@ -324,6 +333,12 @@ TEST(MixComposerDeath, RejectsBadCompositions)
     EXPECT_DEATH(workload::composeWorkload(
                      "mix:t0=mcf,t0.skew=2,t1=flood", 8),
                  "mpki and write");
+    EXPECT_DEATH(workload::composeWorkload(
+                     "mix:t0=mcf,t0.mpki=5x,t0.cores=8", 8),
+                 "t0.mpki expects a number, got '5x'");
+    EXPECT_DEATH(workload::composeWorkload(
+                     "mix:t0=zipf,t0.cores=4294967297,t1=flood", 8),
+                 "t0.cores expects a positive integer");
 }
 
 /** The trace-layer makeGenerator dispatches spec-carrying profiles to

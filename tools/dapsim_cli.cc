@@ -13,264 +13,37 @@
  *   dapsim --arch edram --capacity-mb 8 --workload hpcg
  *   dapsim --workload mcf --save-ckpt warm.ckpt
  *   dapsim --workload mcf --policy dap --restore-ckpt warm.ckpt
+ *
+ * The flags come from the option table shared with dapsim_sweep and
+ * dapsim_expd (src/expd/cli_options.hh); an unknown flag lists them.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "ckpt/checkpoint.hh"
+#include "expd/cli_options.hh"
 #include "sim/fidelity_runner.hh"
-#include "sim/presets.hh"
-#include "sim/runner.hh"
-#include "trace/mixes.hh"
 #include "trace/trace_file.hh"
 #include "workload/compose.hh"
 #include "workload/spec.hh"
 
 using namespace dapsim;
 
-namespace
-{
-
-struct Options
-{
-    std::string arch = "sectored";
-    std::string policy = "baseline";
-    std::string workload = "mcf";
-    std::string trace;
-    std::uint32_t cores = 8;
-    std::uint64_t instr = 120'000;
-    std::uint64_t capacityMb = 0; // 0 = preset default
-    Cycle window = 64;
-    double efficiency = 0.75;
-    std::uint64_t seed = 0;
-    std::string saveCkpt;
-    std::string restoreCkpt;
-    std::uint32_t ckptFormat = ckpt::kVersion;
-    bool stats = false;
-    bool remote = false;
-    double remoteScale = 4.0;
-    double remoteLatencyNs = 120.0;
-    std::uint32_t remoteOutstanding = 32;
-    std::string fidelity = "exact";
-    std::uint64_t fidelityDetail = 0;
-    std::uint64_t fidelityPeriod = 0;
-    obs::ObsConfig obs{};
-};
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: dapsim [options]\n"
-        "  --arch sectored|alloy|edram|none   MS$ architecture\n"
-        "  --policy baseline|dap|sbd|sbd-wt|batman|bear\n"
-        "  --workload NAME      synthetic profile or workload-engine\n"
-        "                       spec, e.g. zipf:skew=0.99,fp=64M or\n"
-        "                       mix:t0=zipf,t0.cores=4,t1=flood\n"
-        "                       (see --list)\n"
-        "  --trace FILE         drive every core from a trace file\n"
-        "  --cores N            core count (default 8)\n"
-        "  --instr N            instructions per core (default 120000)\n"
-        "  --capacity-mb N      override MS$ capacity\n"
-        "  --window W           DAP window in CPU cycles (default 64)\n"
-        "  --efficiency E       DAP bandwidth efficiency (default 0.75)\n"
-        "  --seed N             workload seed salt\n"
-        "  --fidelity MODE      exact (default) | sampled | analytic\n"
-        "  --fidelity-detail N  sampled: detailed instructions per "
-        "core\n"
-        "                       per period (default 2000)\n"
-        "  --fidelity-period N  sampled: sampling period in "
-        "instructions\n"
-        "                       per core (default 10000)\n"
-        "  --remote             enable the remote bandwidth tier\n"
-        "  --remote-scale S     remote BW = DDR BW / S (default 4)\n"
-        "  --remote-latency-ns N  remote latency adder (default 120)\n"
-        "  --remote-outstanding N remote credit window (default 32)\n"
-        "  --save-ckpt FILE     snapshot the post-warmup state to FILE\n"
-        "  --restore-ckpt FILE  skip warm-up; restore the state from "
-        "FILE\n"
-        "  --ckpt-format v1|v2  encoding for --save-ckpt (default v2:\n"
-        "                       bulk-span, memcpy restore; v1 = legacy\n"
-        "                       per-primitive stream)\n"
-        "  --sample-every N     sample stats every N CPU cycles\n"
-        "  --sample-out FILE    time-series output (with "
-        "--sample-every)\n"
-        "  --sample-format F    jsonl (default) or csv\n"
-        "  --dap-trace FILE     per-window DAP decision trace (JSONL)\n"
-        "  --chrome-trace FILE  Chrome trace_event JSON (Perfetto)\n"
-        "  --stats              dump full statistics\n"
-        "  --list               list workload profiles\n");
-    std::exit(1);
-}
-
-PolicyKind
-parsePolicy(const std::string &s)
-{
-    if (s == "baseline")
-        return PolicyKind::Baseline;
-    if (s == "dap")
-        return PolicyKind::Dap;
-    if (s == "sbd")
-        return PolicyKind::Sbd;
-    if (s == "sbd-wt")
-        return PolicyKind::SbdWt;
-    if (s == "batman")
-        return PolicyKind::Batman;
-    if (s == "bear")
-        return PolicyKind::Bear;
-    fatal("unknown policy: " + s);
-}
-
-SystemConfig
-buildConfig(const Options &opt)
-{
-    SystemConfig cfg;
-    if (opt.arch == "sectored") {
-        cfg = presets::sectoredSystem8();
-        if (opt.capacityMb)
-            cfg.sectored.capacityBytes = opt.capacityMb * kMiB;
-    } else if (opt.arch == "alloy") {
-        cfg = presets::alloySystem8();
-        if (opt.capacityMb)
-            cfg.alloy.capacityBytes = opt.capacityMb * kMiB;
-    } else if (opt.arch == "edram") {
-        cfg = presets::edramSystem8(opt.capacityMb ? opt.capacityMb : 4);
-    } else if (opt.arch == "none") {
-        cfg = presets::sectoredSystem8();
-        cfg.arch = MsArch::None;
-        cfg.warmupAccessesPerCore = 1;
-    } else {
-        fatal("unknown arch: " + opt.arch);
-    }
-    cfg.numCores = opt.cores;
-    cfg.core.instructions = opt.instr;
-    cfg.windowCycles = opt.window;
-    cfg.dap.efficiency = opt.efficiency;
-    cfg.policy = parsePolicy(opt.policy);
-    cfg.remote.enabled = opt.remote;
-    cfg.remote.bwScaleFactor = opt.remoteScale;
-    cfg.remote.addLatencyNs = opt.remoteLatencyNs;
-    cfg.remote.maxOutstanding = opt.remoteOutstanding;
-    if (!fidelityModeFromName(opt.fidelity, cfg.fidelity.mode))
-        fatal("unknown fidelity: " + opt.fidelity);
-    if (opt.fidelityDetail)
-        cfg.fidelity.detailInstr = opt.fidelityDetail;
-    if (opt.fidelityPeriod)
-        cfg.fidelity.periodInstr = opt.fidelityPeriod;
-    return cfg;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> std::string {
-            if (++i >= argc)
-                usage();
-            return argv[i];
-        };
-        if (a == "--arch")
-            opt.arch = value();
-        else if (a == "--policy")
-            opt.policy = value();
-        else if (a == "--workload")
-            opt.workload = value();
-        else if (a == "--trace")
-            opt.trace = value();
-        else if (a == "--cores")
-            opt.cores = static_cast<std::uint32_t>(
-                std::stoul(value()));
-        else if (a == "--instr")
-            opt.instr = std::stoull(value());
-        else if (a == "--capacity-mb")
-            opt.capacityMb = std::stoull(value());
-        else if (a == "--window")
-            opt.window = std::stoull(value());
-        else if (a == "--efficiency")
-            opt.efficiency = std::stod(value());
-        else if (a == "--seed")
-            opt.seed = std::stoull(value());
-        else if (a == "--fidelity")
-            opt.fidelity = value();
-        else if (a == "--fidelity-detail")
-            opt.fidelityDetail = std::stoull(value());
-        else if (a == "--fidelity-period")
-            opt.fidelityPeriod = std::stoull(value());
-        else if (a == "--remote")
-            opt.remote = true;
-        else if (a == "--remote-scale")
-            opt.remoteScale = std::stod(value());
-        else if (a == "--remote-latency-ns")
-            opt.remoteLatencyNs = std::stod(value());
-        else if (a == "--remote-outstanding")
-            opt.remoteOutstanding = static_cast<std::uint32_t>(
-                std::stoul(value()));
-        else if (a == "--save-ckpt")
-            opt.saveCkpt = value();
-        else if (a == "--restore-ckpt")
-            opt.restoreCkpt = value();
-        else if (a == "--ckpt-format") {
-            const std::string v = value();
-            if (v == "v1")
-                opt.ckptFormat = ckpt::kVersionV1;
-            else if (v == "v2")
-                opt.ckptFormat = ckpt::kVersionV2;
-            else
-                fatal("--ckpt-format must be v1 or v2");
-        }
-        else if (a == "--sample-every")
-            opt.obs.sampleEvery = std::stoull(value());
-        else if (a == "--sample-out")
-            opt.obs.sampleOut = value();
-        else if (a == "--sample-format") {
-            const std::string f = value();
-            if (f == "jsonl")
-                opt.obs.sampleFormat = obs::SampleFormat::Jsonl;
-            else if (f == "csv")
-                opt.obs.sampleFormat = obs::SampleFormat::Csv;
-            else
-                fatal("--sample-format expects jsonl or csv");
-        } else if (a == "--dap-trace")
-            opt.obs.dapTrace = value();
-        else if (a == "--chrome-trace")
-            opt.obs.chromeTrace = value();
-        else if (a == "--stats")
-            opt.stats = true;
-        else if (a == "--list") {
-            std::printf("profiles:\n");
-            for (const auto &w : allWorkloads())
-                std::printf("  %-18s %s\n", w.name.c_str(),
-                            w.bandwidthSensitive
-                                ? "bandwidth-sensitive"
-                                : "bandwidth-insensitive");
-            std::printf("workload-engine specs "
-                        "(kind:key=value,...):\n");
-            for (const auto &info : workload::specInfos()) {
-                std::printf("  %-18s %s\n", info.kind, info.help);
-                for (const auto &p : info.params)
-                    std::printf("    %-16s %s\n", p.key, p.help);
-            }
-            return 0;
-        } else {
-            usage();
-        }
-    }
+    const expd::CliOptions opt =
+        expd::parseCommandLine(expd::kDapsim, argc, argv);
+    const std::string &arch = opt.grid.archs[0];
+    const std::string &workload = opt.grid.workloads[0];
+    const std::uint64_t instr = opt.grid.instr;
+    const std::uint64_t seed = opt.grid.seed;
 
     if (!opt.saveCkpt.empty() && !opt.restoreCkpt.empty())
         fatal("--save-ckpt and --restore-ckpt are mutually exclusive");
-    if ((opt.obs.sampleEvery != 0) != !opt.obs.sampleOut.empty())
-        fatal("--sample-every and --sample-out must be used together");
-
-    SystemConfig cfg = buildConfig(opt);
-    cfg.obs = opt.obs;
+    SystemConfig cfg = expd::dapsimConfig(opt);
 
     std::vector<AccessGeneratorPtr> gens;
     std::string mix_name;
@@ -283,22 +56,22 @@ main(int argc, char **argv)
                 opt.trace, static_cast<Addr>(i) << 40));
     } else {
         const workload::ComposedMix cm =
-            workload::composeWorkload(opt.workload, cfg.numCores);
+            workload::composeWorkload(workload, cfg.numCores);
         mix_name = cm.mix.name;
         stream_desc = ckpt::describeMix(cm.mix);
         // Tenant attribution only for engine specs; classic profile
         // runs keep their exact historical stats row set.
-        if (workload::looksLikeSpec(opt.workload))
+        if (workload::looksLikeSpec(workload))
             cfg.obs.coreTenants = cm.coreTenants;
         for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-            gens.push_back(makeGenerator(cm.mix.apps[i], i, opt.seed));
+            gens.push_back(makeGenerator(cm.mix.apps[i], i, seed));
     }
 
     // Both hashes come from the PRE-construction configuration (the
     // System constructor derives fields in its own copy).
     const std::uint64_t warm = ckpt::resolveWarmCount(cfg);
     const std::uint64_t state_hash =
-        ckpt::stateHash(cfg, stream_desc, opt.seed, warm);
+        ckpt::stateHash(cfg, stream_desc, seed, warm);
     const std::uint64_t full_hash = ckpt::fullHash(state_hash, cfg);
 
     System sys(cfg, std::move(gens));
@@ -334,13 +107,17 @@ main(int argc, char **argv)
                 ckpt::CheckpointHeader h;
                 h.stateHash = state_hash;
                 h.fullHash = full_hash;
-                h.seedSalt = opt.seed;
+                h.seedSalt = seed;
                 h.warmupPerCore = warm;
-                h.instr = opt.instr;
+                h.instr = instr;
                 h.numCores = cfg.numCores;
                 h.archId = ckpt::archIdOf(cfg.arch);
-                ckpt::writeFile(opt.saveCkpt,
-                                ckpt::capture(sys, h, opt.ckptFormat));
+                ckpt::writeFile(
+                    opt.saveCkpt,
+                    ckpt::capture(sys, h,
+                                  opt.ckptFormat == "v1"
+                                      ? ckpt::kVersionV1
+                                      : ckpt::kVersionV2));
                 std::printf("saved %s (%llu warm-up accesses/core)\n",
                             opt.saveCkpt.c_str(),
                             static_cast<unsigned long long>(warm));
@@ -350,11 +127,11 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
     }
-    const RunResult r = runFidelityOn(sys, mix_name, opt.instr);
+    const RunResult r = runFidelityOn(sys, mix_name, instr);
     std::printf("mix %s  arch %s  policy %s  seed %llu\n",
-                mix_name.c_str(), opt.arch.c_str(),
+                mix_name.c_str(), arch.c_str(),
                 r.policyName.c_str(),
-                static_cast<unsigned long long>(opt.seed));
+                static_cast<unsigned long long>(seed));
     std::printf("throughput %.3f IPC  cycles %llu\n", r.throughput(),
                 static_cast<unsigned long long>(r.cycles));
     std::printf("MS$ hit ratio %.3f  MM CAS fraction %.3f  "

@@ -24,12 +24,11 @@
  *   dapsim_expd status --store out/q
  *   dapsim_expd resume --store out/q
  *   dapsim_expd merge --store out/q --out results.jsonl
+ *
+ * The flags come from the option table in src/expd/cli_options.hh.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -37,6 +36,7 @@
 
 #include "common/fsio.hh"
 #include "common/log.hh"
+#include "expd/cli_options.hh"
 #include "expd/store.hh"
 #include "expd/worker.hh"
 
@@ -46,61 +46,6 @@ using namespace dapsim;
 
 namespace
 {
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: dapsim_expd COMMAND --store DIR [options]\n"
-        "commands:\n"
-        "  submit        create a store from a sweep grid\n"
-        "    --arch/--policy/--workload/--capacity-mb/--cores/--instr/"
-        "\n"
-        "    --seed/--warmup/--remote*/--fidelity* : as in "
-        "dapsim_sweep\n"
-        "  run           execute pending jobs\n"
-        "    --shard i/N   run only jobs with index %% N == i "
-        "(default 0/1)\n"
-        "    --jobs K      stop after K executed jobs\n"
-        "    --id W        ledger writer id (default w<pid>)\n"
-        "    --lease-ttl S lease heartbeat TTL seconds (default 60)\n"
-        "    --progress    per-job progress lines on stderr\n"
-        "  resume        run everything still pending after a crash\n"
-        "                (verifies recorded result rows first)\n"
-        "  status        progress, per-worker counts, ETA, failures\n"
-        "  merge         print result rows in grid order\n"
-        "    --out FILE    write to FILE instead of stdout\n"
-        "  retry-failed  clear failure records for re-execution\n");
-    std::exit(1);
-}
-
-std::uint64_t
-parseNumber(const std::string &flag, const std::string &s)
-{
-    if (s.empty())
-        fatal(flag + " expects a number");
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        fatal(flag + " expects a number, got '" + s + "'");
-    return v;
-}
-
-/** Parse "i/N" into shard index/count. */
-void
-parseShard(const std::string &s, std::size_t &index,
-           std::size_t &count)
-{
-    const std::size_t slash = s.find('/');
-    if (slash == std::string::npos)
-        fatal("--shard expects i/N, got '" + s + "'");
-    index = parseNumber("--shard", s.substr(0, slash));
-    count = parseNumber("--shard", s.substr(slash + 1));
-    if (count == 0 || index >= count)
-        fatal("--shard expects i < N");
-}
 
 int
 cmdStatus(const expd::Store &store)
@@ -238,81 +183,22 @@ cmdResume(const expd::Store &store, expd::WorkerOptions opt)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage();
-    const std::string cmd = argv[1];
-
-    expd::GridOptions grid;
-    expd::WorkerOptions worker;
-    std::string store_dir;
-    std::string out_path;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> std::string {
-            if (++i >= argc)
-                usage();
-            return argv[i];
-        };
-        if (a == "--store")
-            store_dir = value();
-        else if (a == "--arch")
-            grid.archs = expd::splitList(value());
-        else if (a == "--policy")
-            grid.policies = expd::splitList(value());
-        else if (a == "--workload")
-            grid.workloads = expd::splitWorkloadList(value());
-        else if (a == "--capacity-mb") {
-            grid.capacitiesMb.clear();
-            for (const auto &c : expd::splitList(value()))
-                grid.capacitiesMb.push_back(parseNumber(a, c));
-        } else if (a == "--cores")
-            grid.cores =
-                static_cast<std::uint32_t>(parseNumber(a, value()));
-        else if (a == "--instr")
-            grid.instr = parseNumber(a, value());
-        else if (a == "--seed")
-            grid.seed = parseNumber(a, value());
-        else if (a == "--warmup")
-            grid.warmup = parseNumber(a, value());
-        else if (a == "--fidelity")
-            grid.fidelity = value();
-        else if (a == "--fidelity-detail")
-            grid.fidelityDetail = parseNumber(a, value());
-        else if (a == "--fidelity-period")
-            grid.fidelityPeriod = parseNumber(a, value());
-        else if (a == "--remote")
-            grid.remote = true;
-        else if (a == "--remote-scale")
-            grid.remoteScale = std::stod(value());
-        else if (a == "--remote-latency-ns")
-            grid.remoteLatencyNs = std::stod(value());
-        else if (a == "--remote-outstanding")
-            grid.remoteOutstanding =
-                static_cast<std::uint32_t>(parseNumber(a, value()));
-        else if (a == "--shard")
-            parseShard(value(), worker.shardIndex, worker.shardCount);
-        else if (a == "--jobs")
-            worker.maxJobs = parseNumber(a, value());
-        else if (a == "--id")
-            worker.workerId = value();
-        else if (a == "--lease-ttl")
-            worker.leaseTtlSec = std::stod(value());
-        else if (a == "--progress")
-            worker.progress = true;
-        else if (a == "--out")
-            out_path = value();
-        else
-            usage();
+    if (argc < 2) {
+        std::fputs(expd::usage(expd::kExpd).c_str(), stderr);
+        return 1;
     }
+    const std::string cmd = argv[1];
+    const expd::CliOptions opt =
+        expd::parseCommandLine(expd::kExpd, argc - 1, argv + 1);
+    const expd::WorkerOptions &worker = opt.worker;
+    const std::string &store_dir = worker.storeDir;
     if (store_dir.empty())
         fatal("dapsim_expd: --store DIR is required");
-    worker.storeDir = store_dir;
 
     try {
         if (cmd == "submit") {
             const expd::Store store =
-                expd::Store::create(store_dir, grid);
+                expd::Store::create(store_dir, opt.grid);
             std::printf("submitted %zu jobs to %s\n",
                         store.jobs().size(), store_dir.c_str());
             return 0;
@@ -335,7 +221,7 @@ main(int argc, char **argv)
         if (cmd == "status")
             return cmdStatus(store);
         if (cmd == "merge")
-            return cmdMerge(store, out_path);
+            return cmdMerge(store, opt.outPath);
         if (cmd == "retry-failed")
             return cmdRetryFailed(store);
         if (cmd == "resume")
@@ -343,5 +229,6 @@ main(int argc, char **argv)
     } catch (const std::exception &e) {
         fatal(e.what());
     }
-    usage();
+    std::fputs(expd::usage(expd::kExpd).c_str(), stderr);
+    return 1;
 }

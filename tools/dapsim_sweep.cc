@@ -12,7 +12,8 @@
  * with the persistent experiment service: --dry-run prints the
  * expansion (stable job ids + warmup group keys) without simulating,
  * and --store DIR submits the grid to a durable `dapsim.expq.v1`
- * store for dapsim_expd workers instead of running it here.
+ * store for dapsim_expd workers instead of running it here. The flags
+ * come from the option table in src/expd/cli_options.hh.
  *
  * Examples:
  *   dapsim_sweep --policy baseline,dap --workload sensitive --jobs 4
@@ -23,11 +24,9 @@
  *   dapsim_sweep --workload all --store bench/out/store
  */
 
+#include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -36,116 +35,13 @@
 #include "common/log.hh"
 #include "exp/result_sink.hh"
 #include "exp/sweep_runner.hh"
+#include "expd/cli_options.hh"
 #include "expd/store.hh"
-#include "workload/spec.hh"
 
 using namespace dapsim;
 
 namespace
 {
-
-struct Options
-{
-    expd::GridOptions grid;
-    std::size_t jobs = 1;
-    std::string jsonPath;
-    bool quiet = false;
-    bool dryRun = false;
-    std::string storeDir;
-    bool warmupFork = false;
-    std::string ckptDir;
-
-    // Per-job observability (see src/obs/): every selected output
-    // goes to its own file under obsDir, so parallel jobs never
-    // interleave a stream.
-    std::string obsDir;
-    std::uint64_t sampleEvery = 0;
-    obs::SampleFormat sampleFormat = obs::SampleFormat::Jsonl;
-    bool dapTrace = false;
-    bool chromeTrace = false;
-    std::string phaseTracePath;
-};
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: dapsim_sweep [options]\n"
-        "  --arch LIST          sectored|alloy|edram (comma-separated,"
-        " default sectored)\n"
-        "  --policy LIST        baseline|dap|sbd|sbd-wt|batman|bear\n"
-        "                       (default baseline,dap)\n"
-        "  --workload LIST      profile names, all|sensitive|"
-        "insensitive, or\n"
-        "                       workload-engine specs "
-        "(zipf:skew=0.99,fp=64M);\n"
-        "                       a list element containing '=' continues"
-        " the\n"
-        "                       previous spec (default sensitive)\n"
-        "  --capacity-mb LIST   MS$ capacities to sweep (default: "
-        "preset)\n"
-        "  --cores N            cores per system (default 8)\n"
-        "  --instr N            instructions per core (default "
-        "120000)\n"
-        "  --seed N             workload seed salt (default 0)\n"
-        "  --warmup N           warm-up accesses per core (default: "
-        "preset)\n"
-        "  --jobs N             worker threads (default 1)\n"
-        "  --fidelity MODE      exact (default) | sampled | analytic\n"
-        "  --fidelity-detail N  sampled: detailed instructions per core"
-        " per\n"
-        "                       period (default 2000)\n"
-        "  --fidelity-period N  sampled: sampling period in "
-        "instructions\n"
-        "                       per core (default 10000)\n"
-        "  --remote             enable the remote bandwidth tier\n"
-        "  --remote-scale S     remote BW = DDR BW / S (default 4)\n"
-        "  --remote-latency-ns N  remote latency adder (default 120)\n"
-        "  --remote-outstanding N remote credit window (default 32)\n"
-        "  --json FILE          also write JSON-lines results to "
-        "FILE\n"
-        "  --dry-run            print the expanded grid (index, job "
-        "id,\n"
-        "                       warmup group, label) and exit\n"
-        "  --store DIR          submit the grid as a dapsim.expq.v1 "
-        "store\n"
-        "                       for dapsim_expd workers instead of "
-        "running\n"
-        "  --warmup-fork        share one warm-up per (arch, workload,"
-        " seed)\n"
-        "                       group via checkpoints (bit-identical "
-        "results)\n"
-        "  --ckpt-dir DIR       keep/reuse warm-up checkpoints in DIR "
-        "(implies\n"
-        "                       --warmup-fork)\n"
-        "  --obs-dir DIR        write per-job observability files into "
-        "DIR\n"
-        "  --sample-every N     per-job stat time series every N CPU "
-        "cycles\n"
-        "  --sample-format F    jsonl (default) or csv\n"
-        "  --dap-trace          per-job DAP decision traces (JSONL)\n"
-        "  --chrome-trace       per-job Chrome trace_event files\n"
-        "  --phase-trace FILE   wall-clock job-scheduling trace "
-        "(Chrome JSON)\n"
-        "  --quiet              suppress the console table\n"
-        "  --list               list workload profiles\n");
-    std::exit(1);
-}
-
-/** Parse a non-negative decimal integer; fatal() on malformation. */
-std::uint64_t
-parseNumber(const std::string &flag, const std::string &s)
-{
-    if (s.empty())
-        fatal(flag + " expects a number");
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end == s.c_str() || *end != '\0')
-        fatal(flag + " expects a number, got '" + s + "'");
-    return v;
-}
 
 /** Filesystem-safe job label: '/' and other separators become '_'. */
 std::string
@@ -175,102 +71,13 @@ obsStem(const std::string &dir, std::size_t index,
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto value = [&]() -> std::string {
-            if (++i >= argc)
-                usage();
-            return argv[i];
-        };
-        if (a == "--arch")
-            opt.grid.archs = expd::splitList(value());
-        else if (a == "--policy")
-            opt.grid.policies = expd::splitList(value());
-        else if (a == "--workload")
-            opt.grid.workloads = expd::splitWorkloadList(value());
-        else if (a == "--capacity-mb") {
-            opt.grid.capacitiesMb.clear();
-            for (const auto &c : expd::splitList(value()))
-                opt.grid.capacitiesMb.push_back(parseNumber(a, c));
-        } else if (a == "--cores")
-            opt.grid.cores = static_cast<std::uint32_t>(
-                parseNumber(a, value()));
-        else if (a == "--instr")
-            opt.grid.instr = parseNumber(a, value());
-        else if (a == "--seed")
-            opt.grid.seed = parseNumber(a, value());
-        else if (a == "--warmup")
-            opt.grid.warmup = parseNumber(a, value());
-        else if (a == "--jobs")
-            opt.jobs = parseNumber(a, value());
-        else if (a == "--json")
-            opt.jsonPath = value();
-        else if (a == "--dry-run")
-            opt.dryRun = true;
-        else if (a == "--store")
-            opt.storeDir = value();
-        else if (a == "--fidelity")
-            opt.grid.fidelity = value();
-        else if (a == "--fidelity-detail")
-            opt.grid.fidelityDetail = parseNumber(a, value());
-        else if (a == "--fidelity-period")
-            opt.grid.fidelityPeriod = parseNumber(a, value());
-        else if (a == "--remote")
-            opt.grid.remote = true;
-        else if (a == "--remote-scale")
-            opt.grid.remoteScale = std::stod(value());
-        else if (a == "--remote-latency-ns")
-            opt.grid.remoteLatencyNs = std::stod(value());
-        else if (a == "--remote-outstanding")
-            opt.grid.remoteOutstanding = static_cast<std::uint32_t>(
-                parseNumber(a, value()));
-        else if (a == "--warmup-fork")
-            opt.warmupFork = true;
-        else if (a == "--ckpt-dir")
-            opt.ckptDir = value();
-        else if (a == "--obs-dir")
-            opt.obsDir = value();
-        else if (a == "--sample-every")
-            opt.sampleEvery = parseNumber(a, value());
-        else if (a == "--sample-format") {
-            const std::string f = value();
-            if (f == "jsonl")
-                opt.sampleFormat = obs::SampleFormat::Jsonl;
-            else if (f == "csv")
-                opt.sampleFormat = obs::SampleFormat::Csv;
-            else
-                fatal("--sample-format expects jsonl or csv");
-        } else if (a == "--dap-trace")
-            opt.dapTrace = true;
-        else if (a == "--chrome-trace")
-            opt.chromeTrace = true;
-        else if (a == "--phase-trace")
-            opt.phaseTracePath = value();
-        else if (a == "--quiet")
-            opt.quiet = true;
-        else if (a == "--list") {
-            std::printf("profiles:\n");
-            for (const auto &w : allWorkloads())
-                std::printf("  %-18s %s\n", w.name.c_str(),
-                            w.bandwidthSensitive
-                                ? "bandwidth-sensitive"
-                                : "bandwidth-insensitive");
-            std::printf("workload-engine specs "
-                        "(kind:key=value,...):\n");
-            for (const auto &info : workload::specInfos()) {
-                std::printf("  %-18s %s\n", info.kind, info.help);
-                for (const auto &p : info.params)
-                    std::printf("    %-16s %s\n", p.key, p.help);
-            }
-            return 0;
-        } else {
-            usage();
-        }
-    }
-    if (opt.jobs == 0)
-        opt.jobs = 1;
+    const expd::CliOptions opt =
+        expd::parseCommandLine(expd::kSweep, argc, argv);
+    const bool csv = opt.sampleFormat == "csv";
 
+    // Per-job observability (see src/obs/): every selected output goes
+    // to its own file under --obs-dir, so parallel jobs never
+    // interleave a stream.
     const bool perJobObs =
         opt.sampleEvery != 0 || opt.dapTrace || opt.chromeTrace;
     if (perJobObs && opt.obsDir.empty())
@@ -279,11 +86,13 @@ main(int argc, char **argv)
     if (!opt.obsDir.empty() && !perJobObs)
         fatal("--obs-dir needs --sample-every, --dap-trace or "
               "--chrome-trace");
-    if (perJobObs) {
+    for (const std::string &dir :
+         {perJobObs ? opt.obsDir : "", opt.ckptDir}) {
         std::error_code ec;
-        std::filesystem::create_directories(opt.obsDir, ec);
+        if (!dir.empty())
+            std::filesystem::create_directories(dir, ec);
         if (ec)
-            fatal("cannot create " + opt.obsDir + ": " + ec.message());
+            fatal("cannot create " + dir + ": " + ec.message());
     }
 
     if (opt.dryRun) {
@@ -298,15 +107,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!opt.storeDir.empty()) {
+    if (!opt.submitStore.empty()) {
         try {
             const expd::Store store =
-                expd::Store::create(opt.storeDir, opt.grid);
+                expd::Store::create(opt.submitStore, opt.grid);
             std::fprintf(stderr,
                          "submitted %zu jobs to %s; run workers "
                          "with:\n  dapsim_expd run --store %s\n",
-                         store.jobs().size(), opt.storeDir.c_str(),
-                         opt.storeDir.c_str());
+                         store.jobs().size(), opt.submitStore.c_str(),
+                         opt.submitStore.c_str());
         } catch (const std::exception &e) {
             fatal(e.what());
         }
@@ -327,11 +136,11 @@ main(int argc, char **argv)
                     exp::policyKindName(job.spec.policy));
             if (opt.sampleEvery) {
                 job.spec.cfg.obs.sampleEvery = opt.sampleEvery;
-                job.spec.cfg.obs.sampleFormat = opt.sampleFormat;
+                job.spec.cfg.obs.sampleFormat =
+                    csv ? obs::SampleFormat::Csv
+                        : obs::SampleFormat::Jsonl;
                 job.spec.cfg.obs.sampleOut =
-                    stem + (opt.sampleFormat == obs::SampleFormat::Csv
-                                ? ".samples.csv"
-                                : ".samples.jsonl");
+                    stem + (csv ? ".samples.csv" : ".samples.jsonl");
             }
             if (opt.dapTrace)
                 job.spec.cfg.obs.dapTrace = stem + ".daptrace.jsonl";
@@ -361,7 +170,7 @@ main(int argc, char **argv)
         runner.setPhaseTrace(opt.phaseTracePath);
 
     runner.setProgress(true);
-    const auto results = runner.run(opt.jobs);
+    const auto results = runner.run(std::max<std::size_t>(opt.jobs, 1));
 
     std::size_t failed = 0;
     for (const auto &r : results)

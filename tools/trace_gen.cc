@@ -14,10 +14,10 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
+#include "common/log.hh"
+#include "common/parse_number.hh"
 #include "trace/trace_file.hh"
 #include "workload/compose.hh"
 #include "workload/spec.hh"
@@ -77,11 +77,16 @@ main(int argc, char **argv)
                      "schemas\n");
         return 1;
     }
+    auto count = [](const char *param, const std::string &text) {
+        if (const auto v = parseUnsigned(text))
+            return *v;
+        fatal(std::string("trace_gen: ") + param +
+              " expects an unsigned decimal integer, got '" + text + "'");
+    };
     const std::string name = argv[1];
-    const std::uint64_t n = std::strtoull(argv[2], nullptr, 10);
+    const std::uint64_t n = count("<records>", argv[2]);
     const std::string out = argc > 3 ? argv[3] : defaultOut(name);
-    const std::uint64_t seed =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
+    const std::uint64_t seed = argc > 4 ? count("[seed]", argv[4]) : 0;
 
     // Compose onto one core: the emitted stream is exactly what core 0
     // of a rate mix of this workload would issue. Mix specs work too —
@@ -90,14 +95,9 @@ main(int argc, char **argv)
         workload::composeWorkload(name, 1);
     auto gen = makeGenerator(cm.mix.apps[0], 0, seed);
 
-    std::vector<TraceRequest> records;
-    records.reserve(n);
-    TraceRequest r;
-    for (std::uint64_t i = 0; i < n && gen->next(r); ++i)
-        records.push_back(r);
-
-    writeTraceFile(out, records);
-    std::printf("wrote %zu records of '%s' to %s\n", records.size(),
+    const std::uint64_t written = writeTraceFile(out, *gen, n);
+    std::printf("wrote %llu records of '%s' to %s\n",
+                static_cast<unsigned long long>(written),
                 cm.mix.name.c_str(), out.c_str());
     return 0;
 }
