@@ -28,45 +28,43 @@ withTechniques(bool fwb, bool wb, bool ifrm, bool sfrm)
 
 } // namespace
 
-int
-main()
+Report
+bench::ablationDap(Plan &plan)
 {
-    banner("Ablation", "DAP techniques enabled incrementally");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig base = presets::sectoredSystem8();
-
-    const std::vector<std::pair<const char *, SystemConfig>> steps{
-        {"FWB", withTechniques(true, false, false, false)},
-        {"+WB", withTechniques(true, true, false, false)},
-        {"+IFRM", withTechniques(true, true, true, false)},
-        {"+SFRM(all)", withTechniques(true, true, true, true)},
+    const SystemConfig steps[] = {
+        withTechniques(true, false, false, false), // FWB
+        withTechniques(true, true, false, false),  // +WB
+        withTechniques(true, true, true, false),   // +IFRM
+        withTechniques(true, true, true, true),    // +SFRM(all)
     };
 
-    SpeedupTable table("     FWB        +WB      +IFRM  +SFRM(all)");
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        const RunResult rb =
-            runPolicy(base, PolicyKind::Baseline, mix, instr);
-        std::vector<double> row;
-        for (const auto &[name, cfg] : steps)
-            row.push_back(
-                speedup(runPolicy(cfg, PolicyKind::Dap, mix, instr),
-                        rb));
-        table.row(w.name, row);
+        const Job rb = plan.add(base, PolicyKind::Baseline, mix);
+        std::vector<std::pair<Job, Job>> runs;
+        for (const SystemConfig &cfg : steps)
+            runs.emplace_back(rb, plan.add(cfg, PolicyKind::Dap, mix));
+        rows.push_back({w.name, speedups(runs)});
     }
-    table.finish("GMEAN");
 
-    std::printf("\n--- credit-counter width ablation (gcc.s04) ---\n");
     const Mix mix = rateMix(workloadByName("gcc.s04"), 8);
-    const RunResult rb =
-        runPolicy(base, PolicyKind::Baseline, mix, instr);
+    const Job rb = plan.add(base, PolicyKind::Baseline, mix);
+    std::vector<std::pair<std::int64_t, Job>> credits;
     for (std::int64_t max : {15, 63, 255, 1 << 20}) {
         SystemConfig cfg = presets::sectoredSystem8();
         cfg.dap.creditMax = max;
-        const RunResult rd = runPolicy(cfg, PolicyKind::Dap, mix, instr);
-        std::printf("creditMax=%-8lld speedup %.3f\n",
-                    static_cast<long long>(max), speedup(rd, rb));
-        std::fflush(stdout);
+        credits.emplace_back(max, plan.add(cfg, PolicyKind::Dap, mix));
     }
-    return 0;
+
+    return [t = table("     FWB        +WB      +IFRM  +SFRM(all)", rows),
+            rb, credits] {
+        banner("Ablation", "DAP techniques enabled incrementally");
+        t();
+        std::printf("\n--- credit-counter width ablation (gcc.s04) ---\n");
+        for (const auto &[max, rd] : credits)
+            std::printf("creditMax=%-8lld speedup %.3f\n",
+                        static_cast<long long>(max), speedup(*rd, *rb));
+    };
 }

@@ -1,13 +1,11 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction harnesses.
- *
- * Each bench binary regenerates one table or figure of the paper:
- * it runs the required simulations and prints the same rows/series
- * the paper reports. Absolute values are not expected to match the
- * authors' testbed; the *shape* (who wins, by roughly what factor,
- * where crossovers fall) is the reproduction target (see DESIGN.md
- * and EXPERIMENTS.md).
+ * The paper harness (DESIGN.md §18). Each figure regenerates one table
+ * or figure of the paper: it adds its simulations to a shared Plan and
+ * returns a Report that prints the paper's rows/series from their
+ * results once the batch has run. Absolute values are not expected to
+ * match the authors' testbed; the *shape* (who wins, by roughly what
+ * factor, where crossovers fall) is the reproduction target.
  */
 
 #ifndef DAPSIM_BENCH_BENCH_UTIL_HH
@@ -15,15 +13,17 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
+#include <deque>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/parse_number.hh"
 #include "exp/sweep_runner.hh"
 #include "sim/presets.hh"
-#include "sim/runner.hh"
 
 namespace dapsim::bench
 {
@@ -46,80 +46,95 @@ benchInstructions()
 }
 
 /**
- * Worker threads for the bench's sweep: `--jobs N` on the command
- * line, else the DAPSIM_BENCH_JOBS environment variable, else 1.
- * Results are bit-identical for any value (see exp/sweep_runner.hh);
- * only wall-clock time changes.
+ * A planned job's result. It is filled in when the batch runs, so a
+ * figure reads it only from its Report; the Plan owns it.
  */
-inline std::size_t
-benchJobs(int argc, char **argv)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--jobs") {
-            const std::uint64_t v = parseUnsigned(argv[i + 1]).value_or(0);
-            if (v == 0)
-                fatal("--jobs expects a positive integer");
-            return v;
-        }
-    }
-    if (const char *env = std::getenv("DAPSIM_BENCH_JOBS")) {
-        const std::uint64_t v = parseUnsigned(env).value_or(0);
-        if (v == 0) {
-            warn("invalid DAPSIM_BENCH_JOBS '" + std::string(env) +
-                 "'; running serially");
-            return 1;
-        }
-        return v;
-    }
-    return 1;
-}
+using Job = const RunResult *;
+
+/** Prints a figure from its jobs' results after the batch. */
+using Report = std::function<void()>;
 
 /**
- * Store passthrough for benches whose sweeps share warm-ups: with
- * `--store DIR` (or DAPSIM_BENCH_STORE) the bench's warmup-fork
- * checkpoints live in `DIR/ckpt` — the same fleet-wide
- * content-addressed cache a `dapsim.expq.v1` store and its expd
- * workers use — so figure reruns and experiment-service sweeps reuse
- * each other's warm-ups instead of resimulating them. Returns "" when
- * no store is configured (in-memory warm-up sharing only).
+ * The batch of simulations the selected figures declare. One
+ * exp::SweepRunner runs it with warmup-fork on. A standard job whose
+ * exp::jobId equals that of a job already planned is the same job:
+ * it runs once and both figures read its result. Custom jobs never
+ * merge, because their id is only their label.
  */
-inline std::string
-benchStoreDir(int argc, char **argv)
+class Plan
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--store")
-            return argv[i + 1];
-    }
-    if (const char *env = std::getenv("DAPSIM_BENCH_STORE"))
-        return env;
-    return "";
-}
+  public:
+    /** Add @p spec; returns the handle of its result. */
+    Job add(exp::JobSpec spec);
 
-/** Enable warmup-fork on @p runner, routed through the store's
- *  checkpoint cache when a store directory is configured. */
-inline void
-benchWarmupFork(exp::SweepRunner &runner, const std::string &store_dir)
-{
-    if (store_dir.empty()) {
-        runner.setWarmupFork(true, "");
-        return;
-    }
-    const std::string ckpt_dir = store_dir + "/ckpt";
-    std::error_code ec;
-    std::filesystem::create_directories(ckpt_dir, ec);
-    if (ec)
-        fatal("cannot create " + ckpt_dir + ": " + ec.message());
-    runner.setWarmupFork(true, ckpt_dir);
-}
+    /** Add the standard job that runs @p mix under @p cfg and
+     *  @p policy for benchInstructions() per core. */
+    Job add(const SystemConfig &cfg, PolicyKind policy, const Mix &mix);
 
-/** Fetch an ok job result or die with the job's captured error. */
-inline const RunResult &
-require(const exp::JobResult &r)
+    /** Run every planned job on @p threads workers, sharing warm-ups
+     *  through @p store's checkpoint cache when it is not empty.
+     *  fatal() when a job fails. */
+    void run(std::size_t threads, const std::string &store);
+
+  private:
+    const std::uint64_t instr_ = benchInstructions();
+    exp::SweepRunner runner_;
+    std::size_t submissions_ = 0;
+    /** exp::jobContentHash -> runner index, for standard jobs. */
+    std::map<std::uint64_t, std::size_t> ids_;
+    /** By runner index; a deque, so handles stay valid as it grows. */
+    std::deque<RunResult> results_;
+};
+
+/** A table row's values, read from its jobs' results after the batch. */
+using Values = std::function<std::vector<double>()>;
+
+/** A table row: a workload or scenario name and its values. */
+struct Row
 {
-    if (!r.ok)
-        fatal("job '" + r.label + "' failed: " + r.error);
-    return r.result;
-}
+    std::string name;
+    Values values;
+};
+
+/** Prints @p rows under @p header, then @p footer with each column's
+ *  geometric mean, or its arithmetic mean where a value is not
+ *  positive (hit-rate deltas). */
+Report table(const std::string &header, std::vector<Row> rows,
+             const std::string &footer = "GMEAN");
+
+/** Each (base, test) run's speedup of test over base. */
+Values speedups(std::vector<std::pair<Job, Job>> runs);
+
+/** DAP's speedup over the baseline for each bandwidth-sensitive
+ *  workload at rate @p copies, one column per config in @p configs. */
+Report dapSpeedupTable(Plan &plan, const std::vector<SystemConfig> &configs,
+                       const std::string &header, std::uint32_t copies = 8);
+
+// The figures, one per source file, in DESIGN.md §4 order.
+Report fig01BwVsHitrate(Plan &);
+Report fig02EdramCapacity(Plan &);
+Report fig04BwSensitivity(Plan &);
+Report fig05TagCache(Plan &);
+Report fig06DapSectored(Plan &);
+Report fig07DapDecisions(Plan &);
+Report fig08CasFraction(Plan &);
+Report table1Sensitivity(Plan &);
+Report fig09MmTechnology(Plan &);
+Report fig10CacheScaling(Plan &);
+Report fig11Related(Plan &);
+Report fig12AllWorkloads(Plan &);
+Report fig13SixteenCore(Plan &);
+Report fig14Alloy(Plan &);
+Report fig15Edram(Plan &);
+Report ablationDap(Plan &);
+Report figWorkloadStress(Plan &);
+Report figTieredSweep(Plan &);
+
+/** The main() of every figure binary: run the figure named @p binary,
+ *  or with "paper" every figure of the paper, as one batch. Accepts
+ *  --jobs N and --store DIR; anything else prints the usage and exits
+ *  1. */
+int runFigures(std::string_view binary, int argc, char **argv);
 
 /** Print a banner naming the experiment. */
 inline void
@@ -131,102 +146,12 @@ banner(const std::string &title, const std::string &what)
     std::printf("==============================================================\n");
 }
 
-/** Run one mix under @p cfg with the given policy. */
-inline RunResult
-runPolicy(SystemConfig cfg, PolicyKind policy, const Mix &mix,
-          std::uint64_t instr, std::uint64_t salt = 0)
-{
-    cfg.policy = policy;
-    return runMix(cfg, mix, instr, salt);
-}
-
-/** Queue runPolicy() as a sweep job; returns its submission index. */
-inline std::size_t
-queuePolicy(exp::SweepRunner &runner, const SystemConfig &cfg,
-            PolicyKind policy, const Mix &mix, std::uint64_t instr,
-            std::uint64_t salt = 0)
-{
-    exp::JobSpec spec;
-    spec.cfg = cfg;
-    spec.mix = mix;
-    spec.policy = policy;
-    spec.instr = instr;
-    spec.seedSalt = salt;
-    return runner.add(std::move(spec));
-}
-
-/** Queue an alone-IPC run (custom job; result.ipc = {alone_ipc}). */
-inline std::size_t
-queueAloneIpc(exp::SweepRunner &runner, const SystemConfig &cfg,
-              const WorkloadProfile &profile, std::uint64_t instr,
-              std::uint64_t salt = 0)
-{
-    exp::JobSpec spec;
-    spec.cfg = cfg;
-    spec.instr = instr;
-    spec.seedSalt = salt;
-    spec.label = profile.name + "/alone";
-    spec.custom = [cfg, profile, instr, salt] {
-        RunResult r;
-        r.mixName = profile.name;
-        r.ipc = {aloneIpc(cfg, profile, instr, salt)};
-        return r;
-    };
-    return runner.add(std::move(spec));
-}
-
 /** Throughput-normalized speedup (rate-mode weighted speedup). */
 inline double
 speedup(const RunResult &test, const RunResult &base)
 {
     return test.throughput() / base.throughput();
 }
-
-/** Collector printing per-workload rows plus a geometric mean. */
-class SpeedupTable
-{
-  public:
-    explicit SpeedupTable(std::string header) : header_(std::move(header))
-    {
-        std::printf("%-18s %s\n", "workload", header_.c_str());
-    }
-
-    void
-    row(const std::string &name, const std::vector<double> &values)
-    {
-        if (columns_.empty())
-            columns_.resize(values.size());
-        std::printf("%-18s", name.c_str());
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            std::printf(" %10.3f", values[i]);
-            columns_[i].push_back(values[i]);
-        }
-        std::printf("\n");
-        std::fflush(stdout);
-    }
-
-    void
-    finish(const char *label = "GMEAN")
-    {
-        std::printf("%-18s", label);
-        for (auto &col : columns_) {
-            // Delta columns (hit-rate changes) can be non-positive:
-            // fall back to the arithmetic mean for those.
-            bool all_positive = true;
-            for (double v : col)
-                all_positive &= v > 0.0;
-            std::printf(" %10.3f",
-                        all_positive ? geomean(col) : mean(col));
-        }
-        std::printf("\n");
-    }
-
-    std::vector<double> column(std::size_t i) const { return columns_[i]; }
-
-  private:
-    std::string header_;
-    std::vector<std::vector<double>> columns_;
-};
 
 } // namespace dapsim::bench
 

@@ -57,7 +57,7 @@ class HitRateKernel final : public AccessGenerator
     std::uint64_t coldPtr_ = 0;
 };
 
-double
+RunResult
 measure(MsArch arch, double hit_rate)
 {
     SystemConfig cfg = arch == MsArch::Sectored
@@ -80,32 +80,43 @@ measure(MsArch arch, double hit_rate)
     System sys(cfg, std::move(gens));
     sys.warmup(40'000);
     sys.run();
-    return harvest(sys, "kernel").readGBps;
+    return harvest(sys, "kernel");
 }
 
 } // namespace
 
-int
-main()
+Report
+bench::fig01BwVsHitrate(Plan &plan)
 {
-    banner("Figure 1",
-           "Delivered read bandwidth vs MS$ hit ratio (read kernel)");
-    std::printf("%-10s %12s %12s %12s %12s\n", "hit-rate",
-                "DRAM$ sim", "DRAM$ model", "eDRAM sim", "eDRAM model");
-    for (double h : {0.0, 0.25, 0.5, 0.7, 0.9, 1.0}) {
-        const double dram_sim = measure(MsArch::Sectored, h);
-        const double edram_sim = measure(MsArch::Edram, h);
-        const double dram_model =
-            bwmodel::dramCacheReadKernelBW(h, 0.75 * 102.4,
-                                           0.75 * 38.4);
-        const double edram_model =
-            bwmodel::edramReadKernelBW(h, 0.75 * 51.2, 0.75 * 38.4);
-        std::printf("%-10.0f %12.1f %12.1f %12.1f %12.1f\n", h * 100,
-                    dram_sim, dram_model, edram_sim, edram_model);
-        std::fflush(stdout);
-    }
-    std::printf("\nShape check: DRAM$ saturates near the cache bandwidth"
-                " by ~70%%;\neDRAM peaks mid-range and falls toward its"
-                " read-channel bandwidth at 100%%.\n");
-    return 0;
+    // measure() builds its System by hand, so each run is a custom job.
+    const auto job = [&plan](MsArch arch, double h) {
+        exp::JobSpec spec;
+        spec.label = std::string("fig01/") + exp::archName(arch) + "/" +
+                     std::to_string(h);
+        spec.custom = [arch, h] { return measure(arch, h); };
+        return plan.add(std::move(spec));
+    };
+    std::vector<std::tuple<double, Job, Job>> points;
+    for (double h : {0.0, 0.25, 0.5, 0.7, 0.9, 1.0})
+        points.emplace_back(h, job(MsArch::Sectored, h),
+                            job(MsArch::Edram, h));
+    return [points] {
+        banner("Figure 1",
+               "Delivered read bandwidth vs MS$ hit ratio (read kernel)");
+        std::printf("%-10s %12s %12s %12s %12s\n", "hit-rate",
+                    "DRAM$ sim", "DRAM$ model", "eDRAM sim",
+                    "eDRAM model");
+        for (const auto &[h, dram_sim, edram_sim] : points) {
+            const double dram_model = bwmodel::dramCacheReadKernelBW(
+                h, 0.75 * 102.4, 0.75 * 38.4);
+            const double edram_model =
+                bwmodel::edramReadKernelBW(h, 0.75 * 51.2, 0.75 * 38.4);
+            std::printf("%-10.0f %12.1f %12.1f %12.1f %12.1f\n", h * 100,
+                        dram_sim->readGBps, dram_model,
+                        edram_sim->readGBps, edram_model);
+        }
+        std::printf("\nShape check: DRAM$ saturates near the cache "
+                    "bandwidth by ~70%%;\neDRAM peaks mid-range and falls "
+                    "toward its read-channel bandwidth at 100%%.\n");
+    };
 }

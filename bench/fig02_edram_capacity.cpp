@@ -15,34 +15,39 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig02EdramCapacity(Plan &plan)
 {
-    banner("Figure 2",
-           "512 MB (scaled 8 MB) vs 256 MB (scaled 4 MB) eDRAM cache");
-    const std::uint64_t instr = benchInstructions();
-    std::printf("%-18s %10s %10s\n", "workload", "speedup",
-                "missdrop%");
-    std::vector<double> speedups, drops;
+    struct Row
+    {
+        std::string name;
+        Job small, big;
+    };
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        const RunResult small =
-            runPolicy(presets::edramSystem8(4), PolicyKind::Baseline,
-                      mix, instr);
-        const RunResult big =
-            runPolicy(presets::edramSystem8(8), PolicyKind::Baseline,
-                      mix, instr);
-        const double s = speedup(big, small);
-        // Miss-rate deltas can be slightly negative; report them as-is
-        // (geomean is only meaningful for the speedup column).
-        const double d =
-            (small.msReadMissRatio - big.msReadMissRatio) * 100;
-        std::printf("%-18s %10.3f %10.3f\n", w.name.c_str(), s, d);
-        std::fflush(stdout);
-        speedups.push_back(s);
-        drops.push_back(d);
+        rows.push_back(
+            {w.name,
+             plan.add(presets::edramSystem8(4), PolicyKind::Baseline, mix),
+             plan.add(presets::edramSystem8(8), PolicyKind::Baseline, mix)});
     }
-    std::printf("%-18s %10.3f %10.3f\n", "MEAN", geomean(speedups),
-                mean(drops));
-    return 0;
+    return [rows] {
+        banner("Figure 2",
+               "512 MB (scaled 8 MB) vs 256 MB (scaled 4 MB) eDRAM cache");
+        std::printf("%-18s %10s %10s\n", "workload", "speedup",
+                    "missdrop%");
+        std::vector<double> speedups, drops;
+        for (const Row &r : rows) {
+            const double s = speedup(*r.big, *r.small);
+            // Miss-rate deltas can be slightly negative; report them
+            // as-is (geomean is only meaningful for the speedup column).
+            const double d =
+                (r.small->msReadMissRatio - r.big->msReadMissRatio) * 100;
+            std::printf("%-18s %10.3f %10.3f\n", r.name.c_str(), s, d);
+            speedups.push_back(s);
+            drops.push_back(d);
+        }
+        std::printf("%-18s %10.3f %10.3f\n", "MEAN", geomean(speedups),
+                    mean(drops));
+    };
 }

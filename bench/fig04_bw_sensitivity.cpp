@@ -7,9 +7,6 @@
  * shape: the twelve bandwidth-sensitive snippets gain substantially;
  * the five insensitive ones barely move; sensitive workloads have the
  * higher average MPKI (20.4 vs 11.6 in the paper).
- *
- * The 34 simulations run through the SweepRunner; pass `--jobs N` to
- * parallelize (rows are identical for any job count).
  */
 
 #include "bench_util.hh"
@@ -17,42 +14,34 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main(int argc, char **argv)
+Report
+bench::fig04BwSensitivity(Plan &plan)
 {
-    banner("Figure 4",
-           "Speedup from doubling MS$ bandwidth (102.4 -> 204.8 GB/s) "
-           "+ L3 MPKI");
-    const std::uint64_t instr = benchInstructions();
-    const std::size_t jobs = benchJobs(argc, argv);
-
     SystemConfig base = presets::sectoredSystem8();
     SystemConfig fast = base;
     fast.sectored.array = dapsim::presets::hbm_205();
 
-    exp::SweepRunner runner;
-    runner.setProgress(true);
+    std::vector<Row> rows;
+    std::vector<std::pair<bool, Job>> bases; // (sensitive, run) for MPKI
     for (const auto &w : allWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        queuePolicy(runner, base, PolicyKind::Baseline, mix, instr);
-        queuePolicy(runner, fast, PolicyKind::Baseline, mix, instr);
+        const Job r1 = plan.add(base, PolicyKind::Baseline, mix);
+        const Job r2 = plan.add(fast, PolicyKind::Baseline, mix);
+        rows.push_back({w.name + (w.bandwidthSensitive ? "" : " (i)"), [=] {
+                            return std::vector{speedup(*r2, *r1), r1->l3Mpki};
+                        }});
+        bases.emplace_back(w.bandwidthSensitive, r1);
     }
-    const auto results = runner.run(jobs);
-
-    std::vector<double> sens_mpki, insens_mpki;
-    SpeedupTable table("   speedup     L3MPKI");
-    std::size_t cursor = 0;
-    for (const auto &w : allWorkloads()) {
-        const RunResult &r1 = require(results[cursor++]);
-        const RunResult &r2 = require(results[cursor++]);
-        table.row(w.name + (w.bandwidthSensitive ? "" : " (i)"),
-                  {speedup(r2, r1), r1.l3Mpki});
-        (w.bandwidthSensitive ? sens_mpki : insens_mpki)
-            .push_back(r1.l3Mpki);
-    }
-    table.finish("GMEAN");
-    std::printf("\nmean L3 MPKI: bandwidth-sensitive %.1f, "
-                "insensitive %.1f (paper: 20.4 vs 11.6)\n",
-                mean(sens_mpki), mean(insens_mpki));
-    return 0;
+    return [t = table("   speedup     L3MPKI", rows), bases] {
+        banner("Figure 4",
+               "Speedup from doubling MS$ bandwidth (102.4 -> 204.8 GB/s) "
+               "+ L3 MPKI");
+        t();
+        std::vector<double> sens_mpki, insens_mpki;
+        for (const auto &[sensitive, r1] : bases)
+            (sensitive ? sens_mpki : insens_mpki).push_back(r1->l3Mpki);
+        std::printf("\nmean L3 MPKI: bandwidth-sensitive %.1f, "
+                    "insensitive %.1f (paper: 20.4 vs 11.6)\n",
+                    mean(sens_mpki), mean(insens_mpki));
+    };
 }

@@ -14,24 +14,24 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig05TagCache(Plan &plan)
 {
-    banner("Figure 5", "Effect of the 32K-entry (scaled) SRAM tag cache");
-    const std::uint64_t instr = benchInstructions();
-
     const SystemConfig with_tc = presets::sectoredSystem8();
     const SystemConfig without_tc = presets::sectoredSystemNoTagCache8();
 
-    SpeedupTable table("   speedup  tc-missratio");
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        const RunResult off =
-            runPolicy(without_tc, PolicyKind::Baseline, mix, instr);
-        const RunResult on =
-            runPolicy(with_tc, PolicyKind::Baseline, mix, instr);
-        table.row(w.name, {speedup(on, off), on.tagCacheMissRatio});
+        const Job off = plan.add(without_tc, PolicyKind::Baseline, mix);
+        const Job on = plan.add(with_tc, PolicyKind::Baseline, mix);
+        rows.push_back({w.name, [=] {
+                            return std::vector{speedup(*on, *off),
+                                               on->tagCacheMissRatio};
+                        }});
     }
-    table.finish("GMEAN");
-    return 0;
+    return [t = table("   speedup  tc-missratio", rows)] {
+        banner("Figure 5", "Effect of the 32K-entry (scaled) SRAM tag cache");
+        t();
+    };
 }

@@ -14,26 +14,27 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig06DapSectored(Plan &plan)
 {
-    banner("Figure 6",
-           "DAP vs optimized baseline (sectored DRAM cache, rate-8)");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig cfg = presets::sectoredSystem8();
 
-    SpeedupTable table("   speedup  norm-l3-read-miss-lat");
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        const RunResult base =
-            runPolicy(cfg, PolicyKind::Baseline, mix, instr);
-        const RunResult dap =
-            runPolicy(cfg, PolicyKind::Dap, mix, instr);
-        table.row(w.name,
-                  {speedup(dap, base),
-                   dap.avgL3ReadMissLatency /
-                       std::max(1.0, base.avgL3ReadMissLatency)});
+        const Job base = plan.add(cfg, PolicyKind::Baseline, mix);
+        const Job dap = plan.add(cfg, PolicyKind::Dap, mix);
+        rows.push_back({w.name, [=] {
+                            return std::vector{
+                                speedup(*dap, *base),
+                                dap->avgL3ReadMissLatency /
+                                    std::max(1.0,
+                                             base->avgL3ReadMissLatency)};
+                        }});
     }
-    table.finish("GMEAN");
-    return 0;
+    return [t = table("   speedup  norm-l3-read-miss-lat", rows)] {
+        banner("Figure 6",
+               "DAP vs optimized baseline (sectored DRAM cache, rate-8)");
+        t();
+    };
 }

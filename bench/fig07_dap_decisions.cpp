@@ -14,21 +14,23 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig07DapDecisions(Plan &plan)
 {
-    banner("Figure 7", "DAP decision mix: FWB / WB / IFRM / SFRM");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig cfg = presets::sectoredSystem8();
 
-    SpeedupTable table("       FWB         WB       IFRM       SFRM");
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
-        const RunResult dap =
-            runPolicy(cfg, PolicyKind::Dap, rateMix(w, 8), instr);
-        table.row(w.name,
-                  {dap.fwbFraction(), dap.wbFraction(),
-                   dap.ifrmFraction(), dap.sfrmFraction()});
+        const Job dap = plan.add(cfg, PolicyKind::Dap, rateMix(w, 8));
+        rows.push_back({w.name, [=] {
+                            return std::vector{
+                                dap->fwbFraction(), dap->wbFraction(),
+                                dap->ifrmFraction(), dap->sfrmFraction()};
+                        }});
     }
-    table.finish("MEAN");
-    return 0;
+    return [t = table("       FWB         WB       IFRM       SFRM", rows,
+                      "MEAN")] {
+        banner("Figure 7", "DAP decision mix: FWB / WB / IFRM / SFRM");
+        t();
+    };
 }

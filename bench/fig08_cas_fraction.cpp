@@ -15,34 +15,33 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig08CasFraction(Plan &plan)
 {
-    banner("Figure 8",
-           "Main-memory CAS fraction and MS$ hit ratio under DAP");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig cfg = presets::sectoredSystem8();
-
     SystemConfig fwbwb = cfg;
     fwbwb.dap.enableIfrm = false;
     fwbwb.dap.enableSfrm = false;
 
-    std::printf("optimal MM CAS fraction: %.2f\n\n",
-                bwmodel::optimalMemoryFraction(102.4, 38.4));
-    SpeedupTable table(
-        "  casB      casDAP     hitB   hitFWB+WB   hitDAP");
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        const RunResult base =
-            runPolicy(cfg, PolicyKind::Baseline, mix, instr);
-        const RunResult part =
-            runPolicy(fwbwb, PolicyKind::Dap, mix, instr);
-        const RunResult dap =
-            runPolicy(cfg, PolicyKind::Dap, mix, instr);
-        table.row(w.name,
-                  {base.mmCasFraction, dap.mmCasFraction,
-                   base.msHitRatio, part.msHitRatio, dap.msHitRatio});
+        const Job base = plan.add(cfg, PolicyKind::Baseline, mix);
+        const Job part = plan.add(fwbwb, PolicyKind::Dap, mix);
+        const Job dap = plan.add(cfg, PolicyKind::Dap, mix);
+        rows.push_back({w.name, [=] {
+                            return std::vector{
+                                base->mmCasFraction, dap->mmCasFraction,
+                                base->msHitRatio, part->msHitRatio,
+                                dap->msHitRatio};
+                        }});
     }
-    table.finish("MEAN");
-    return 0;
+    return [t = table("  casB      casDAP     hitB   hitFWB+WB   hitDAP",
+                      rows, "MEAN")] {
+        banner("Figure 8",
+               "Main-memory CAS fraction and MS$ hit ratio under DAP");
+        std::printf("optimal MM CAS fraction: %.2f\n\n",
+                    bwmodel::optimalMemoryFraction(102.4, 38.4));
+        t();
+    };
 }

@@ -15,35 +15,21 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig09MmTechnology(Plan &plan)
 {
-    banner("Figure 9", "DAP speedup vs main-memory technology");
-    const std::uint64_t instr = benchInstructions();
-
-    const std::vector<std::pair<const char *, DramConfig>> memories{
-        {"ddr4-2400", dapsim::presets::ddr4_2400()},
-        {"ddr4-2400-noio", dapsim::presets::ddr4_2400_no_io()},
-        {"lpddr4-2400", dapsim::presets::lpddr4_2400()},
-        {"ddr4-3200", dapsim::presets::ddr4_3200()},
-    };
-
-    SpeedupTable table(
-        "   ddr4-2400  no-io      lpddr4     ddr4-3200");
-    for (const auto &w : bandwidthSensitiveWorkloads()) {
-        const Mix mix = rateMix(w, 8);
-        std::vector<double> row;
-        for (const auto &[name, mem] : memories) {
-            SystemConfig cfg = presets::sectoredSystem8();
-            cfg.mainMemory = mem;
-            const RunResult rb =
-                runPolicy(cfg, PolicyKind::Baseline, mix, instr);
-            const RunResult rd =
-                runPolicy(cfg, PolicyKind::Dap, mix, instr);
-            row.push_back(speedup(rd, rb));
-        }
-        table.row(w.name, row);
+    std::vector<SystemConfig> configs;
+    for (const DramConfig &mem :
+         {dapsim::presets::ddr4_2400(), dapsim::presets::ddr4_2400_no_io(),
+          dapsim::presets::lpddr4_2400(), dapsim::presets::ddr4_3200()}) {
+        SystemConfig cfg = presets::sectoredSystem8();
+        cfg.mainMemory = mem;
+        configs.push_back(cfg);
     }
-    table.finish("GMEAN");
-    return 0;
+    return [t = dapSpeedupTable(
+                plan, configs,
+                "   ddr4-2400  no-io      lpddr4     ddr4-3200")] {
+        banner("Figure 9", "DAP speedup vs main-memory technology");
+        t();
+    };
 }

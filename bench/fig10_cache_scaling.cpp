@@ -7,9 +7,6 @@
  * Paper shape: DAP's benefit grows with capacity (bigger caches absorb
  * more accesses and drift further from the optimal partition) and
  * shrinks with cache bandwidth (the optimum moves toward the cache).
- *
- * Both panels run through the SweepRunner; pass `--jobs N` to
- * parallelize (rows are identical for any job count).
  */
 
 #include "bench_util.hh"
@@ -17,74 +14,31 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-namespace
+Report
+bench::fig10CacheScaling(Plan &plan)
 {
-
-/** Queue baseline+DAP per (workload, config) and print speedup rows. */
-void
-sweepPanel(const std::vector<SystemConfig> &configs,
-           const char *header, std::uint64_t instr, std::size_t jobs)
-{
-    exp::SweepRunner runner;
-    runner.setProgress(true);
-    const auto workloads = bandwidthSensitiveWorkloads();
-    for (const auto &w : workloads) {
-        const Mix mix = rateMix(w, 8);
-        for (const SystemConfig &cfg : configs) {
-            queuePolicy(runner, cfg, PolicyKind::Baseline, mix, instr);
-            queuePolicy(runner, cfg, PolicyKind::Dap, mix, instr);
-        }
+    std::vector<SystemConfig> capacities;
+    for (std::uint64_t mb : {32u, 64u, 128u}) {
+        SystemConfig cfg = presets::sectoredSystem8();
+        cfg.sectored.capacityBytes = mb * kMiB;
+        capacities.push_back(cfg);
     }
-    const auto results = runner.run(jobs);
-
-    SpeedupTable table(header);
-    std::size_t cursor = 0;
-    for (const auto &w : workloads) {
-        std::vector<double> row;
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            const RunResult &rb = require(results[cursor++]);
-            const RunResult &rd = require(results[cursor++]);
-            row.push_back(speedup(rd, rb));
-        }
-        table.row(w.name, row);
+    std::vector<SystemConfig> bandwidths;
+    for (const DramConfig &array :
+         {dapsim::presets::hbm_102(), dapsim::presets::hbm_128(),
+          dapsim::presets::hbm_205()}) {
+        SystemConfig cfg = presets::sectoredSystem8();
+        cfg.sectored.array = array;
+        bandwidths.push_back(cfg);
     }
-    table.finish("GMEAN");
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    banner("Figure 10", "DAP speedup vs MS$ capacity and bandwidth");
-    const std::uint64_t instr = benchInstructions();
-    const std::size_t jobs = benchJobs(argc, argv);
-
-    std::printf("--- capacity sweep (bandwidth 102.4 GB/s) ---\n");
-    {
-        std::vector<SystemConfig> configs;
-        for (std::uint64_t mb : {32u, 64u, 128u}) {
-            SystemConfig cfg = presets::sectoredSystem8();
-            cfg.sectored.capacityBytes = mb * kMiB;
-            configs.push_back(cfg);
-        }
-        sweepPanel(configs, "      32MB       64MB      128MB", instr,
-                   jobs);
-    }
-
-    std::printf("\n--- bandwidth sweep (capacity 64 MB scaled) ---\n");
-    {
-        std::vector<SystemConfig> configs;
-        for (int point = 0; point < 3; ++point) {
-            SystemConfig cfg = presets::sectoredSystem8();
-            cfg.sectored.array =
-                point == 0   ? dapsim::presets::hbm_102()
-                : point == 1 ? dapsim::presets::hbm_128()
-                             : dapsim::presets::hbm_205();
-            configs.push_back(cfg);
-        }
-        sweepPanel(configs, "     102.4      128.0      204.8", instr,
-                   jobs);
-    }
-    return 0;
+    return [capacity = dapSpeedupTable(plan, capacities,
+                                       "      32MB       64MB      128MB"),
+            bandwidth = dapSpeedupTable(plan, bandwidths,
+                                        "     102.4      128.0      204.8")] {
+        banner("Figure 10", "DAP speedup vs MS$ capacity and bandwidth");
+        std::printf("--- capacity sweep (bandwidth 102.4 GB/s) ---\n");
+        capacity();
+        std::printf("\n--- bandwidth sweep (capacity 64 MB scaled) ---\n");
+        bandwidth();
+    };
 }

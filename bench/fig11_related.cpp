@@ -14,25 +14,23 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig11Related(Plan &plan)
 {
-    banner("Figure 11", "SBD / SBD-WT / BATMAN / DAP vs baseline");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig cfg = presets::sectoredSystem8();
 
-    SpeedupTable table("      SBD     SBD-WT     BATMAN        DAP");
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        const RunResult base =
-            runPolicy(cfg, PolicyKind::Baseline, mix, instr);
-        std::vector<double> row;
+        const Job base = plan.add(cfg, PolicyKind::Baseline, mix);
+        std::vector<std::pair<Job, Job>> runs;
         for (PolicyKind pol : {PolicyKind::Sbd, PolicyKind::SbdWt,
                                PolicyKind::Batman, PolicyKind::Dap})
-            row.push_back(speedup(
-                runPolicy(cfg, pol, mix, instr), base));
-        table.row(w.name, row);
+            runs.emplace_back(base, plan.add(cfg, pol, mix));
+        rows.push_back({w.name, speedups(runs)});
     }
-    table.finish("GMEAN");
-    return 0;
+    return [t = table("      SBD     SBD-WT     BATMAN        DAP", rows)] {
+        banner("Figure 11", "SBD / SBD-WT / BATMAN / DAP vs baseline");
+        t();
+    };
 }

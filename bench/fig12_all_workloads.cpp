@@ -8,11 +8,6 @@
  * IPCs for the heterogeneous mixes). Paper shape: insensitive mixes
  * never lose (DAP seldom partitions for them); heterogeneous mixes
  * gain broadly; 13% overall geomean.
- *
- * All 105 simulations (17 alone runs + 44 mixes x 2 policies) go
- * through the SweepRunner; pass `--jobs N` (or set DAPSIM_BENCH_JOBS)
- * to run them on N threads. Rows are numerically identical for any
- * job count.
  */
 
 #include <algorithm>
@@ -23,75 +18,69 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main(int argc, char **argv)
+Report
+bench::fig12AllWorkloads(Plan &plan)
 {
-    banner("Figure 12", "DAP speedup over all 44 multi-programmed mixes");
-    const std::uint64_t instr = benchInstructions();
-    const std::size_t jobs = benchJobs(argc, argv);
     const SystemConfig cfg = presets::sectoredSystem8();
 
-    exp::SweepRunner runner;
-    runner.setProgress(true);
+    // Alone-run IPCs, shared across mixes (hetero weighted speedup):
+    // each profile on one core of the same system and policy.
+    SystemConfig one = cfg;
+    one.numCores = 1;
+    std::map<std::string, Job> alone;
+    for (const auto &w : allWorkloads())
+        alone[w.name] = plan.add(one, one.policy, rateMix(w, 1));
 
-    // Alone-run IPCs, shared across mixes (hetero weighted speedup).
-    const auto &workloads = allWorkloads();
-    for (const auto &w : workloads)
-        queueAloneIpc(runner, cfg, w, instr);
-
-    const std::vector<Mix> mixes = allMixes();
-    for (const auto &mix : mixes) {
-        queuePolicy(runner, cfg, PolicyKind::Baseline, mix, instr);
-        queuePolicy(runner, cfg, PolicyKind::Dap, mix, instr);
-    }
-
-    const auto results = runner.run(jobs);
-
-    std::map<std::string, double> alone;
-    for (std::size_t i = 0; i < workloads.size(); ++i)
-        alone[workloads[i].name] = require(results[i]).ipc[0];
-
-    struct Entry
+    struct Run
     {
-        std::string name;
-        double speedup;
+        Mix mix;
+        Job base, dap;
     };
-    std::map<Mix::Kind, std::vector<Entry>> byKind;
-    std::vector<double> all;
+    std::vector<Run> runs;
+    for (const auto &mix : allMixes())
+        runs.push_back({mix, plan.add(cfg, PolicyKind::Baseline, mix),
+                        plan.add(cfg, PolicyKind::Dap, mix)});
 
-    std::size_t cursor = workloads.size();
-    for (const auto &mix : mixes) {
-        const RunResult &rb = require(results[cursor++]);
-        const RunResult &rd = require(results[cursor++]);
-        std::vector<double> alone_ipc;
-        for (const auto &a : mix.apps)
-            alone_ipc.push_back(alone[a.name]);
-        const double s = rd.weightedSpeedup(alone_ipc) /
-                         rb.weightedSpeedup(alone_ipc);
-        byKind[mix.kind].push_back({mix.name, s});
-        all.push_back(s);
-    }
-
-    const std::map<Mix::Kind, const char *> kindName{
-        {Mix::Kind::Sensitive, "bandwidth-sensitive (12)"},
-        {Mix::Kind::Insensitive, "bandwidth-insensitive (5)"},
-        {Mix::Kind::Hetero, "heterogeneous (27)"},
-    };
-    for (auto &[kind, entries] : byKind) {
-        std::sort(entries.begin(), entries.end(),
-                  [](const Entry &a, const Entry &b) {
-                      return a.speedup < b.speedup;
-                  });
-        std::printf("--- %s, sorted by speedup ---\n",
-                    kindName.at(kind));
-        std::vector<double> v;
-        for (const auto &e : entries) {
-            std::printf("%-22s %8.3f\n", e.name.c_str(), e.speedup);
-            v.push_back(e.speedup);
+    return [alone, runs] {
+        banner("Figure 12",
+               "DAP speedup over all 44 multi-programmed mixes");
+        struct Entry
+        {
+            std::string name;
+            double speedup;
+        };
+        std::map<Mix::Kind, std::vector<Entry>> byKind;
+        std::vector<double> all;
+        for (const Run &r : runs) {
+            std::vector<double> alone_ipc;
+            for (const auto &a : r.mix.apps)
+                alone_ipc.push_back(alone.at(a.name)->ipc[0]);
+            const double s = r.dap->weightedSpeedup(alone_ipc) /
+                             r.base->weightedSpeedup(alone_ipc);
+            byKind[r.mix.kind].push_back({r.mix.name, s});
+            all.push_back(s);
         }
-        std::printf("%-22s %8.3f\n\n", "GMEAN", geomean(v));
-    }
-    std::printf("overall GMEAN (44 mixes): %.3f  (paper: 1.13)\n",
-                geomean(all));
-    return 0;
+
+        const std::map<Mix::Kind, const char *> kindName{
+            {Mix::Kind::Sensitive, "bandwidth-sensitive (12)"},
+            {Mix::Kind::Insensitive, "bandwidth-insensitive (5)"},
+            {Mix::Kind::Hetero, "heterogeneous (27)"},
+        };
+        for (auto &[kind, entries] : byKind) {
+            std::sort(entries.begin(), entries.end(),
+                      [](const Entry &a, const Entry &b) {
+                          return a.speedup < b.speedup;
+                      });
+            std::printf("--- %s, sorted by speedup ---\n",
+                        kindName.at(kind));
+            std::vector<double> v;
+            for (const auto &e : entries) {
+                std::printf("%-22s %8.3f\n", e.name.c_str(), e.speedup);
+                v.push_back(e.speedup);
+            }
+            std::printf("%-22s %8.3f\n\n", "GMEAN", geomean(v));
+        }
+        std::printf("overall GMEAN (44 mixes): %.3f  (paper: 1.13)\n",
+                    geomean(all));
+    };
 }

@@ -13,21 +13,12 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig13SixteenCore(Plan &plan)
 {
-    banner("Figure 13", "DAP on the sixteen-core configuration");
-    const std::uint64_t instr = benchInstructions();
-    const SystemConfig cfg = presets::sectoredSystem16();
-
-    SpeedupTable table("   speedup");
-    for (const auto &w : bandwidthSensitiveWorkloads()) {
-        const Mix mix = rateMix(w, 16);
-        const RunResult rb =
-            runPolicy(cfg, PolicyKind::Baseline, mix, instr);
-        const RunResult rd = runPolicy(cfg, PolicyKind::Dap, mix, instr);
-        table.row(w.name, {speedup(rd, rb)});
-    }
-    table.finish("GMEAN");
-    return 0;
+    return [t = dapSpeedupTable(plan, {presets::sectoredSystem16()},
+                                "   speedup", 16)] {
+        banner("Figure 13", "DAP on the sixteen-core configuration");
+        t();
+    };
 }

@@ -15,18 +15,12 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig14Alloy(Plan &plan)
 {
-    banner("Figure 14", "Alloy cache: BEAR vs Alloy+DAP");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig cfg = presets::alloySystem8();
 
-    std::printf("optimal MM CAS fraction (TAD-derated): %.2f\n\n",
-                bwmodel::optimalMemoryFraction(102.4 * 2.0 / 3.0,
-                                               38.4));
-    SpeedupTable table(
-        "    BEAR        DAP       casB    casBEAR     casDAP");
+    std::vector<Row> rows;
     for (auto w : bandwidthSensitiveWorkloads()) {
         // The direct-mapped Alloy cache has no footprint prefetcher to
         // compensate for conflict misses, so matching the paper's
@@ -35,17 +29,22 @@ main()
         // array never saturates and DAP correctly stands down.
         w.params.footprintBytes /= 2;
         const Mix mix = rateMix(w, 8);
-        const RunResult base =
-            runPolicy(cfg, PolicyKind::Baseline, mix, instr);
-        const RunResult bear =
-            runPolicy(cfg, PolicyKind::Bear, mix, instr);
-        const RunResult dap =
-            runPolicy(cfg, PolicyKind::Dap, mix, instr);
-        table.row(w.name,
-                  {speedup(bear, base), speedup(dap, base),
-                   base.mmCasFraction, bear.mmCasFraction,
-                   dap.mmCasFraction});
+        const Job base = plan.add(cfg, PolicyKind::Baseline, mix);
+        const Job bear = plan.add(cfg, PolicyKind::Bear, mix);
+        const Job dap = plan.add(cfg, PolicyKind::Dap, mix);
+        rows.push_back({w.name, [=] {
+                            return std::vector{
+                                speedup(*bear, *base), speedup(*dap, *base),
+                                base->mmCasFraction, bear->mmCasFraction,
+                                dap->mmCasFraction};
+                        }});
     }
-    table.finish("GMEAN");
-    return 0;
+    return [t = table("    BEAR        DAP       casB    casBEAR     casDAP",
+                      rows)] {
+        banner("Figure 14", "Alloy cache: BEAR vs Alloy+DAP");
+        std::printf("optimal MM CAS fraction (TAD-derated): %.2f\n\n",
+                    bwmodel::optimalMemoryFraction(102.4 * 2.0 / 3.0,
+                                                   38.4));
+        t();
+    };
 }

@@ -15,32 +15,31 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main()
+Report
+bench::fig15Edram(Plan &plan)
 {
-    banner("Figure 15", "eDRAM cache: DAP vs capacity doubling");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig small = presets::edramSystem8(4);
     const SystemConfig big = presets::edramSystem8(8);
 
-    SpeedupTable table(
-        "  dap256     base512     dap512   dHit256  dHit512d");
+    std::vector<Row> rows;
     for (const auto &w : bandwidthSensitiveWorkloads()) {
         const Mix mix = rateMix(w, 8);
-        const RunResult base256 =
-            runPolicy(small, PolicyKind::Baseline, mix, instr);
-        const RunResult dap256 =
-            runPolicy(small, PolicyKind::Dap, mix, instr);
-        const RunResult base512 =
-            runPolicy(big, PolicyKind::Baseline, mix, instr);
-        const RunResult dap512 =
-            runPolicy(big, PolicyKind::Dap, mix, instr);
-        table.row(w.name,
-                  {speedup(dap256, base256), speedup(base512, base256),
-                   speedup(dap512, base256),
-                   dap256.msHitRatio - base256.msHitRatio,
-                   dap512.msHitRatio - base256.msHitRatio});
+        const Job base256 = plan.add(small, PolicyKind::Baseline, mix);
+        const Job dap256 = plan.add(small, PolicyKind::Dap, mix);
+        const Job base512 = plan.add(big, PolicyKind::Baseline, mix);
+        const Job dap512 = plan.add(big, PolicyKind::Dap, mix);
+        rows.push_back({w.name, [=] {
+                            return std::vector{
+                                speedup(*dap256, *base256),
+                                speedup(*base512, *base256),
+                                speedup(*dap512, *base256),
+                                dap256->msHitRatio - base256->msHitRatio,
+                                dap512->msHitRatio - base256->msHitRatio};
+                        }});
     }
-    table.finish("GMEAN");
-    return 0;
+    return [t = table("  dap256     base512     dap512   dHit256  dHit512d",
+                      rows)] {
+        banner("Figure 15", "eDRAM cache: DAP vs capacity doubling");
+        t();
+    };
 }

@@ -3,10 +3,9 @@
  * Accuracy-vs-speedup curve for the fidelity ladder.
  *
  * Runs the pinned fig12-style end-to-end scenario (8-core
- * heterogeneous mix, sectored MS$, DAP, 150k instructions per core —
- * the same contract kernel_events tracks) at every fidelity level:
- * exact once as the golden baseline, sampled at a range of sampling
- * periods, and analytic. Each row reports simulator wall-clock,
+ * heterogeneous mix, sectored MS$, DAP, 150k instructions per core)
+ * at every fidelity level: exact once as the golden baseline, sampled
+ * at a range of sampling periods, and analytic. Each row reports simulator wall-clock,
  * speedup over exact, aggregate IPC, its relative error against
  * exact, and whether exact falls inside the run's own reported
  * confidence interval — the curve EXPERIMENTS.md discusses.
@@ -34,7 +33,7 @@ using namespace dapsim::bench;
 namespace
 {
 
-/** The pinned scenario (see bench/kernel_events.cpp runE2e). */
+/** The pinned scenario. */
 constexpr std::uint64_t kInstr = 150'000;
 constexpr std::uint64_t kWarmup = 20'000;
 constexpr double kGuardMinSpeedup = 3.0;

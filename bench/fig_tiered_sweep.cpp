@@ -27,12 +27,9 @@ using namespace dapsim::bench;
 namespace
 {
 
-constexpr PolicyKind kPolicies[] = {PolicyKind::Baseline,
-                                    PolicyKind::Dap, PolicyKind::Sbd,
-                                    PolicyKind::Batman,
-                                    PolicyKind::Bear};
-constexpr std::size_t kNumPolicies =
-    sizeof(kPolicies) / sizeof(kPolicies[0]);
+/** The policies each row compares with the optimized baseline. */
+constexpr PolicyKind kPolicies[] = {PolicyKind::Dap, PolicyKind::Sbd,
+                                    PolicyKind::Batman, PolicyKind::Bear};
 
 /** One tiered scenario: a remote configuration on the 8-core system. */
 struct Scenario
@@ -68,81 +65,49 @@ const Stream kStreams[] = {
     {"hpcg", "hpcg"},
     {"zipf0.99", "zipf:skew=0.99,fp=16M"},
 };
-constexpr std::size_t kNumStreams =
-    sizeof(kStreams) / sizeof(kStreams[0]);
 
-/** Queue every policy of every (scenario, stream); returns the first
- *  job index of each row in row-major (scenario, stream) order. */
+/** Declare every policy of every (scenario, stream); the report
+ *  prints each policy's speedup over the baseline. */
 template <std::size_t N>
-std::vector<std::size_t>
-queueGrid(exp::SweepRunner &runner, const SystemConfig &base,
-          const Scenario (&grid)[N], std::uint64_t instr)
+Report
+grid(Plan &plan, const SystemConfig &base, const Scenario (&scenarios)[N])
 {
-    std::vector<std::size_t> first;
-    for (const auto &s : grid) {
+    std::vector<Row> rows;
+    for (const auto &s : scenarios) {
         SystemConfig cfg = base;
         cfg.remote.enabled = true;
         cfg.remote.bwScaleFactor = s.bwScale;
         cfg.remote.addLatencyNs = s.latencyNs;
         for (const auto &st : kStreams) {
             const Mix mix = workload::composeWorkload(st.spec, 8).mix;
-            first.push_back(
-                queuePolicy(runner, cfg, kPolicies[0], mix, instr));
-            for (std::size_t p = 1; p < kNumPolicies; ++p)
-                queuePolicy(runner, cfg, kPolicies[p], mix, instr);
+            const Job baseline = plan.add(cfg, PolicyKind::Baseline, mix);
+            std::vector<std::pair<Job, Job>> runs;
+            for (PolicyKind p : kPolicies)
+                runs.emplace_back(baseline, plan.add(cfg, p, mix));
+            rows.push_back(
+                {std::string(s.label) + "/" + st.label, speedups(runs)});
         }
     }
-    return first;
-}
-
-/** Print one speedup-over-baseline table for a queued grid. */
-template <std::size_t N>
-void
-printGrid(const std::vector<exp::JobResult> &results,
-          const Scenario (&grid)[N],
-          const std::vector<std::size_t> &first, const char *header)
-{
-    SpeedupTable table(header);
-    for (std::size_t i = 0; i < N; ++i) {
-        for (std::size_t s = 0; s < kNumStreams; ++s) {
-            const std::size_t row = i * kNumStreams + s;
-            const RunResult &base = require(results[first[row]]);
-            std::vector<double> vals;
-            for (std::size_t p = 1; p < kNumPolicies; ++p)
-                vals.push_back(
-                    speedup(require(results[first[row] + p]), base));
-            table.row(std::string(grid[i].label) + "/" +
-                          kStreams[s].label,
-                      vals);
-        }
-    }
-    table.finish("GMEAN");
+    return table("       dap        sbd     batman       bear", rows);
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Report
+bench::figTieredSweep(Plan &plan)
 {
-    banner("Tiered-memory sweep (remote third source)",
-           "DAP-n vs SBD/BATMAN/BEAR with a remote bandwidth tier: "
-           "remote-bandwidth and remote-latency sweeps (sectored DRAM "
-           "cache, 8 cores)");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig cfg = presets::sectoredSystem8();
-
-    exp::SweepRunner runner;
-    benchWarmupFork(runner, benchStoreDir(argc, argv));
-    const auto bw_first = queueGrid(runner, cfg, kBandwidthGrid, instr);
-    const auto lat_first = queueGrid(runner, cfg, kLatencyGrid, instr);
-    const auto results = runner.run(benchJobs(argc, argv));
-
-    std::printf("\n-- remote bandwidth sweep, 120 ns adder (speedup "
-                "over baseline) --\n");
-    printGrid(results, kBandwidthGrid, bw_first,
-              "       dap        sbd     batman       bear");
-    std::printf("\n-- remote latency sweep, DDR/4 bandwidth --\n");
-    printGrid(results, kLatencyGrid, lat_first,
-              "       dap        sbd     batman       bear");
-    return 0;
+    const Report bw = grid(plan, cfg, kBandwidthGrid);
+    const Report lat = grid(plan, cfg, kLatencyGrid);
+    return [bw, lat] {
+        banner("Tiered-memory sweep (remote third source)",
+               "DAP-n vs SBD/BATMAN/BEAR with a remote bandwidth tier: "
+               "remote-bandwidth and remote-latency sweeps (sectored DRAM "
+               "cache, 8 cores)");
+        std::printf("\n-- remote bandwidth sweep, 120 ns adder (speedup "
+                    "over baseline) --\n");
+        bw();
+        std::printf("\n-- remote latency sweep, DDR/4 bandwidth --\n");
+        lat();
+    };
 }

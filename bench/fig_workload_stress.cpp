@@ -26,12 +26,9 @@ using namespace dapsim::bench;
 namespace
 {
 
-constexpr PolicyKind kPolicies[] = {PolicyKind::Baseline,
-                                    PolicyKind::Dap, PolicyKind::Sbd,
-                                    PolicyKind::Batman,
-                                    PolicyKind::Bear};
-constexpr std::size_t kNumPolicies =
-    sizeof(kPolicies) / sizeof(kPolicies[0]);
+/** The policies each row compares with the optimized baseline. */
+constexpr PolicyKind kPolicies[] = {PolicyKind::Dap, PolicyKind::Sbd,
+                                    PolicyKind::Batman, PolicyKind::Bear};
 
 /** One named scenario: a spec composed onto the 8-core system. */
 struct Scenario
@@ -72,66 +69,41 @@ const Scenario kTenantGrid[] = {
                  "t7=wburst,t7.fp=4M,t7.burst=32,t7.duty=0.6"},
 };
 
-/** Queue every policy of every scenario; returns first job indices. */
+/** Declare every policy of every scenario; the report prints each
+ *  policy's speedup over the baseline. */
 template <std::size_t N>
-std::vector<std::size_t>
-queueGrid(exp::SweepRunner &runner, const SystemConfig &cfg,
-          const Scenario (&grid)[N], std::uint64_t instr)
+Report
+grid(Plan &plan, const SystemConfig &cfg, const Scenario (&scenarios)[N])
 {
-    std::vector<std::size_t> first;
-    for (const auto &s : grid) {
+    std::vector<Row> rows;
+    for (const auto &s : scenarios) {
         const Mix mix = workload::composeWorkload(s.spec, 8).mix;
-        first.push_back(
-            queuePolicy(runner, cfg, kPolicies[0], mix, instr));
-        for (std::size_t p = 1; p < kNumPolicies; ++p)
-            queuePolicy(runner, cfg, kPolicies[p], mix, instr);
+        const Job base = plan.add(cfg, PolicyKind::Baseline, mix);
+        std::vector<std::pair<Job, Job>> runs;
+        for (PolicyKind p : kPolicies)
+            runs.emplace_back(base, plan.add(cfg, p, mix));
+        rows.push_back({s.label, speedups(runs)});
     }
-    return first;
-}
-
-/** Print one speedup-over-baseline table for a queued grid. */
-template <std::size_t N>
-void
-printGrid(const std::vector<exp::JobResult> &results,
-          const Scenario (&grid)[N],
-          const std::vector<std::size_t> &first, const char *header)
-{
-    SpeedupTable table(header);
-    for (std::size_t i = 0; i < N; ++i) {
-        const RunResult &base = require(results[first[i]]);
-        std::vector<double> row;
-        for (std::size_t p = 1; p < kNumPolicies; ++p)
-            row.push_back(
-                speedup(require(results[first[i] + p]), base));
-        table.row(grid[i].label, row);
-    }
-    table.finish("GMEAN");
+    return table("       dap        sbd     batman       bear", rows);
 }
 
 } // namespace
 
-int
-main(int argc, char **argv)
+Report
+bench::figWorkloadStress(Plan &plan)
 {
-    banner("Workload-engine stress sweep",
-           "DAP vs SBD/BATMAN/BEAR under Zipf skew, phase drift and "
-           "adversarial multi-tenant mixes (sectored DRAM cache, "
-           "8 cores)");
-    const std::uint64_t instr = benchInstructions();
     const SystemConfig cfg = presets::sectoredSystem8();
-
-    exp::SweepRunner runner;
-    benchWarmupFork(runner, benchStoreDir(argc, argv));
-    const auto skew_first = queueGrid(runner, cfg, kSkewDriftGrid, instr);
-    const auto tenant_first = queueGrid(runner, cfg, kTenantGrid, instr);
-    const auto results = runner.run(benchJobs(argc, argv));
-
-    std::printf("\n-- Zipf skew x phase drift (speedup over "
-                "baseline) --\n");
-    printGrid(results, kSkewDriftGrid, skew_first,
-              "       dap        sbd     batman       bear");
-    std::printf("\n-- tenant count with adversarial co-runners --\n");
-    printGrid(results, kTenantGrid, tenant_first,
-              "       dap        sbd     batman       bear");
-    return 0;
+    const Report skew = grid(plan, cfg, kSkewDriftGrid);
+    const Report tenants = grid(plan, cfg, kTenantGrid);
+    return [skew, tenants] {
+        banner("Workload-engine stress sweep",
+               "DAP vs SBD/BATMAN/BEAR under Zipf skew, phase drift and "
+               "adversarial multi-tenant mixes (sectored DRAM cache, "
+               "8 cores)");
+        std::printf("\n-- Zipf skew x phase drift (speedup over "
+                    "baseline) --\n");
+        skew();
+        std::printf("\n-- tenant count with adversarial co-runners --\n");
+        tenants();
+    };
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Event-kernel benchmark: scheduler microbenchmarks + a pinned
- * end-to-end scenario, emitted as BENCH_kernel.json.
+ * Event-kernel benchmark: scheduler and directory microbenchmarks,
+ * emitted as BENCH_kernel.json.
  *
  * The microbenchmarks drive the production `EventQueue` and the frozen
  * reference heap (`tests/reference_event_queue.hh`) through identical
@@ -10,10 +10,7 @@
  * dispatched events per second for each. Two directory rows do the
  * same for the SoA `AssocCache` against the frozen AoS oracle
  * (`tests/reference_assoc_cache.hh`): a hit-dominated probe storm and
- * a miss-dominated fill/evict churn, in operations per second. The
- * end-to-end section runs a pinned fig12-style heterogeneous 8-core
- * mix under the DAP policy and reports simulator wall-clock and
- * events per second.
+ * a miss-dominated fill/evict churn, in operations per second.
  *
  * The JSON this binary writes is committed at the repo root so the
  * kernel's perf trajectory is tracked PR over PR; CI re-runs it in a
@@ -21,16 +18,11 @@
  * more than 10% against the committed numbers (ratios, not absolute
  * rates, so the check is hardware-independent).
  *
- * Usage: kernel_events [--out FILE] [--skip-e2e]
- * Env:   DAPSIM_BENCH_E2E_BEFORE_MS / DAPSIM_BENCH_E2E_BEFORE_EPS —
- *        optional pre-change end-to-end numbers to embed alongside the
- *        current measurement (used when regenerating the committed
- *        file across a kernel change).
+ * Usage: kernel_events [--out FILE]
  */
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -40,14 +32,9 @@
 #include "cache/assoc_cache.hh"
 #include "common/event_queue.hh"
 #include "common/json_writer.hh"
-#include "common/log.hh"
-#include "common/parse_number.hh"
 #include "common/rng.hh"
 #include "reference_assoc_cache.hh"
 #include "reference_event_queue.hh"
-#include "sim/presets.hh"
-#include "sim/system.hh"
-#include "trace/workloads.hh"
 
 using namespace dapsim;
 
@@ -340,60 +327,8 @@ struct ScenarioResult
     Rate wheel;
 };
 
-/** The pinned fig12-style end-to-end scenario: 8-core heterogeneous
- *  mix, sectored MS$, DAP policy. Everything here is part of the
- *  tracked-benchmark contract — change it only with a note in
- *  BENCH_kernel.json history. */
-struct E2eResult
-{
-    std::uint64_t events;
-    double wallMs;
-    double eventsPerSec;
-    double warmupMs;
-};
-
-E2eResult
-runE2e()
-{
-    const char *apps[8] = {"mcf",   "libquantum", "omnetpp",
-                           "milc",  "hpcg",       "bwaves",
-                           "gcc.expr", "parboil-lbm"};
-    SystemConfig cfg = presets::sectoredSystem8();
-    cfg.policy = PolicyKind::Dap;
-    cfg.core.instructions = 150'000;
-
-    std::vector<AccessGeneratorPtr> gens;
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(workloadByName(apps[i]), i));
-    System sys(cfg, std::move(gens));
-
-    const auto w0 = std::chrono::steady_clock::now();
-    sys.warmup(20'000);
-    const double warmupMs = secondsSince(w0) * 1e3;
-
-    const std::uint64_t ev0 = sys.eventQueue().executed();
-    const auto t0 = std::chrono::steady_clock::now();
-    sys.run();
-    const double dt = secondsSince(t0);
-    const std::uint64_t events = sys.eventQueue().executed() - ev0;
-    return E2eResult{events, dt * 1e3,
-                     static_cast<double>(events) / dt, warmupMs};
-}
-
 /** Dispatched events per microbenchmark scenario (per rep). */
 constexpr std::uint64_t kEvents = 3'000'000;
-
-double
-envDouble(const char *name)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return 0.0;
-    if (const auto d = parseFinite(v))
-        return *d;
-    fatal(std::string(name) + " expects a finite decimal number, got '" +
-          v + "'");
-}
 
 } // namespace
 
@@ -401,29 +336,11 @@ int
 main(int argc, char **argv)
 {
     std::string out = "BENCH_kernel.json";
-    bool skipE2e = false;
-    bool e2eOnly = false;
-    int e2eReps = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out = argv[++i];
-        else if (std::strcmp(argv[i], "--skip-e2e") == 0)
-            skipE2e = true;
-        else if (std::strcmp(argv[i], "--e2e-only") == 0)
-            e2eOnly = true;
-        else if (std::strcmp(argv[i], "--e2e-reps") == 0 &&
-                 i + 1 < argc) {
-            // Repeat the end-to-end scenario (best-of) — for stable
-            // wall-clock numbers and long profiling runs.
-            const auto reps = parseUnsigned<std::uint16_t>(argv[++i]);
-            if (!reps || *reps == 0)
-                fatal("--e2e-reps expects a positive integer, got '" +
-                      std::string(argv[i]) + "'");
-            e2eReps = *reps;
         } else {
-            std::cerr << "usage: kernel_events [--out FILE]"
-                         " [--skip-e2e] [--e2e-only]"
-                         " [--e2e-reps N]\n";
+            std::cerr << "usage: kernel_events [--out FILE]\n";
             return 2;
         }
     }
@@ -446,7 +363,6 @@ main(int argc, char **argv)
         results.push_back(std::move(r));
     };
 
-    if (!e2eOnly) {
     bench("storm_selfresched_512", [](auto &eq) {
         return stormSelfResched(eq, kEvents, 512);
     });
@@ -502,21 +418,6 @@ main(int argc, char **argv)
                 std::uint32_t ways) {
                  return dirChurn(dir, ops, sets, ways);
              });
-    }
-
-    E2eResult e2e{0, 0.0, 0.0, 0.0};
-    if (!skipE2e) {
-        e2e = runE2e();
-        for (int r = 1; r < e2eReps; ++r) {
-            const E2eResult again = runE2e();
-            if (again.wallMs < e2e.wallMs)
-                e2e = again;
-        }
-        std::cout << "e2e_fig12_mix: " << e2e.events << " events in "
-                  << e2e.wallMs << " ms ("
-                  << static_cast<std::uint64_t>(e2e.eventsPerSec)
-                  << " ev/s)\n";
-    }
 
     json::JsonWriter w;
     w.beginObject();
@@ -533,24 +434,6 @@ main(int argc, char **argv)
         w.endObject();
     }
     w.endArray();
-    if (!skipE2e) {
-        w.key("e2e").beginObject();
-        w.key("scenario").value("fig12_hetero_mix8_dap_150k");
-        w.key("events").value(e2e.events);
-        w.key("wall_ms").value(e2e.wallMs);
-        w.key("events_per_sec").value(e2e.eventsPerSec);
-        w.key("warmup_ms").value(e2e.warmupMs);
-        const double beforeMs =
-            envDouble("DAPSIM_BENCH_E2E_BEFORE_MS");
-        const double beforeEps =
-            envDouble("DAPSIM_BENCH_E2E_BEFORE_EPS");
-        if (beforeMs > 0.0) {
-            w.key("before_wall_ms").value(beforeMs);
-            w.key("before_events_per_sec").value(beforeEps);
-            w.key("wall_clock_speedup").value(beforeMs / e2e.wallMs);
-        }
-        w.endObject();
-    }
     w.endObject();
 
     std::ofstream os(out);

@@ -7,11 +7,6 @@
  * Paper shape: W = 64 / E = 0.75 is the sweet spot; E = 1.0 is the
  * worst efficiency point because assuming full bandwidth makes DAP
  * partition too little.
- *
- * The sweep shares one set of baseline runs across all six DAP config
- * points (the serial version recomputed them per point) and runs all
- * 84 simulations through the SweepRunner; pass `--jobs N` to
- * parallelize.
  */
 
 #include "bench_util.hh"
@@ -19,64 +14,43 @@
 using namespace dapsim;
 using namespace dapsim::bench;
 
-int
-main(int argc, char **argv)
+Report
+bench::table1Sensitivity(Plan &plan)
 {
-    banner("Table I",
-           "DAP speedup sensitivity to window size W and efficiency E");
-    const std::uint64_t instr = benchInstructions();
-    const std::size_t jobs = benchJobs(argc, argv);
-
-    // The six (W, E) points of the table, W=64/E=0.75 appearing twice
-    // to keep the printed rows identical to the serial version.
+    // The six (W, E) points of the table; W=64/E=0.75 appears twice,
+    // and its jobs run once.
     struct Point
     {
         Cycle window;
         double efficiency;
+        Values speedups;
     };
     std::vector<Point> points;
     for (Cycle w : {32u, 64u, 128u})
-        points.push_back({w, 0.75});
+        points.push_back({w, 0.75, {}});
     for (double e : {0.50, 0.75, 1.00})
-        points.push_back({64, e});
+        points.push_back({64, e, {}});
 
     const SystemConfig base = presets::sectoredSystem8();
-    const auto workloads = bandwidthSensitiveWorkloads();
-
-    exp::SweepRunner runner;
-    runner.setProgress(true);
-    // One baseline run per mix, shared by every (W, E) point.
-    for (const auto &w : workloads)
-        queuePolicy(runner, base, PolicyKind::Baseline, rateMix(w, 8),
-                    instr);
-    for (const auto &p : points) {
+    for (Point &p : points) {
         SystemConfig cfg = presets::sectoredSystem8();
         cfg.windowCycles = p.window;
         cfg.dap.efficiency = p.efficiency;
-        for (const auto &w : workloads)
-            queuePolicy(runner, cfg, PolicyKind::Dap, rateMix(w, 8),
-                        instr);
-    }
-    const auto results = runner.run(jobs);
-
-    std::printf("%-24s %10s\n", "configuration", "speedup");
-    std::size_t cursor = workloads.size();
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        std::vector<double> v;
-        for (std::size_t i = 0; i < workloads.size(); ++i) {
-            const RunResult &rb = require(results[i]);
-            const RunResult &rd = require(results[cursor++]);
-            v.push_back(speedup(rd, rb));
+        std::vector<std::pair<Job, Job>> runs;
+        for (const auto &w : bandwidthSensitiveWorkloads()) {
+            const Mix mix = rateMix(w, 8);
+            runs.emplace_back(plan.add(base, PolicyKind::Baseline, mix),
+                              plan.add(cfg, PolicyKind::Dap, mix));
         }
-        if (p < 3)
-            std::printf("W=%-4llu E=0.75           %10.3f\n",
-                        static_cast<unsigned long long>(
-                            points[p].window),
-                        geomean(v));
-        else
-            std::printf("W=64   E=%-4.2f           %10.3f\n",
-                        points[p].efficiency, geomean(v));
-        std::fflush(stdout);
+        p.speedups = speedups(runs);
     }
-    return 0;
+    return [points] {
+        banner("Table I",
+               "DAP speedup sensitivity to window size W and efficiency E");
+        std::printf("%-24s %10s\n", "configuration", "speedup");
+        for (const Point &p : points)
+            std::printf("W=%-4llu E=%-4.2f           %10.3f\n",
+                        static_cast<unsigned long long>(p.window),
+                        p.efficiency, geomean(p.speedups()));
+    };
 }

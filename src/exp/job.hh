@@ -54,9 +54,10 @@ struct JobSpec
 
     /**
      * Optional override: when set, run() invokes this instead of the
-     * standard runMix() path. Used for auxiliary simulations (alone-IPC
-     * runs) and for fault-injection in tests. Must be a pure function
-     * of captured state — no shared mutable captures.
+     * standard runMix() path. Used for simulations that build their
+     * System by hand (bench/fig01's read kernel) and for
+     * fault-injection in tests. Must be a pure function of captured
+     * state — no shared mutable captures.
      */
     std::function<RunResult()> custom;
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * High-level experiment runner: build a System for a mix, run it to
- * completion, harvest results. This is the API the benches and
+ * completion, harvest results. This is the API exp::runJob and the
  * examples drive.
  */
 
@@ -9,7 +9,6 @@
 #define DAPSIM_SIM_RUNNER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/metrics.hh"
 #include "sim/system.hh"
@@ -22,15 +21,6 @@ namespace dapsim
 RunResult runMix(SystemConfig cfg, const Mix &mix,
                  std::uint64_t instr_per_core,
                  std::uint64_t seed_salt = 0);
-
-/** IPC of @p profile running alone (one active core) under @p cfg. */
-double aloneIpc(SystemConfig cfg, const WorkloadProfile &profile,
-                std::uint64_t instr, std::uint64_t seed_salt = 0);
-
-/** Alone-IPC table for a mix (one entry per core slot). */
-std::vector<double> aloneIpcTable(const SystemConfig &cfg,
-                                  const Mix &mix, std::uint64_t instr,
-                                  std::uint64_t seed_salt = 0);
 
 } // namespace dapsim
 
