@@ -18,12 +18,12 @@ namespace
 {
 
 /**
- * Rough lower bound on the System::save payload size, used to
+ * Rough estimate of the System::save payload size, used to
  * pre-reserve the Serializer buffer so a multi-MB snapshot doesn't
  * realloc its way up from empty. Dominant terms: the MS$ sector/line
- * directory and the L3 directory (v1 per-line overhead is 18 bytes +
- * the value encoding; the estimate uses v1, the larger of the two
- * encodings).
+ * directory and the L3 directory, estimated at 18 bytes per line plus
+ * the value (the spans take 16 per line and 16 per set, plus the
+ * value).
  */
 std::size_t
 payloadSizeHint(const SystemConfig &cfg)
@@ -291,22 +291,56 @@ fullHash(std::uint64_t state_hash, const SystemConfig &cfg)
     return fnv1a(s.buffer());
 }
 
-Checkpoint
-capture(System &sys, CheckpointHeader header, std::uint32_t version)
+CheckpointHeader
+warmupHeader(const SystemConfig &cfg, const std::string &stream_desc,
+             std::uint64_t seed_salt, std::uint64_t instr)
 {
-    if (version != kVersionV1 && version != kVersionV2)
-        throw CkptError("ckpt: cannot capture version " +
-                        std::to_string(version));
-    Serializer s(version);
+    CheckpointHeader h;
+    h.seedSalt = seed_salt;
+    h.warmupPerCore = resolveWarmCount(cfg);
+    h.instr = instr;
+    h.numCores = cfg.numCores;
+    h.archId = archIdOf(cfg.arch);
+    h.stateHash = stateHash(cfg, stream_desc, seed_salt, h.warmupPerCore);
+    h.fullHash = fullHash(h.stateHash, cfg);
+    return h;
+}
+
+Checkpoint
+capture(System &sys, CheckpointHeader header)
+{
+    Serializer s;
     s.reserve(payloadSizeHint(sys.config()));
     sys.save(s);
-    header.version = version;
+    header.version = kVersion;
     header.tick = sys.eventQueue().now();
     header.pendingEvents = sys.eventQueue().pending();
     Checkpoint ckpt;
     ckpt.header = header;
     ckpt.payload = std::move(s).take();
     return ckpt;
+}
+
+void
+restoreInto(System &sys, CheckpointView view,
+            const CheckpointHeader &expect, bool fork)
+{
+    if (!view)
+        throw CkptError("ckpt: empty checkpoint view");
+    if (view.header.stateHash != expect.stateHash)
+        throw CkptError(
+            "ckpt: configuration/stream mismatch (the checkpoint was "
+            "taken under a different system configuration, workload, "
+            "seed or warm-up length)");
+    if (!fork && view.header.fullHash != expect.fullHash)
+        throw CkptError(
+            "ckpt: policy mismatch (the checkpoint was taken under a "
+            "different partitioning policy; only a warmup-fork restore "
+            "seeds another policy)");
+    Deserializer d(view.payload, view.payloadSize, view.header.version);
+    sys.restore(d, fork);
+    if (!d.atEnd())
+        throw CkptError("ckpt: trailing bytes after the last section");
 }
 
 std::vector<std::uint8_t>
@@ -347,9 +381,7 @@ decodeHeader(Deserializer &d, const std::uint8_t *data,
             throw CkptError("ckpt: not a dapsim checkpoint (bad magic)");
     CheckpointHeader h;
     h.version = d.u32();
-    if (h.version != kVersionV1 && h.version != kVersionV2)
-        throw CkptError("ckpt: unsupported checkpoint version " +
-                        std::to_string(h.version));
+    checkVersion(h.version);
     h.stateHash = d.u64();
     h.fullHash = d.u64();
     h.tick = d.u64();
@@ -483,21 +515,12 @@ readFileMapped(const std::string &path)
 
 Checkpoint
 makeWarmupCheckpoint(SystemConfig cfg, const Mix &mix,
-                     std::uint64_t instr, std::uint64_t seed_salt,
-                     std::uint32_t version)
+                     std::uint64_t instr, std::uint64_t seed_salt)
 {
     if (mix.apps.size() != cfg.numCores)
         throw CkptError("ckpt: mix width != core count");
-
-    CheckpointHeader header;
-    header.seedSalt = seed_salt;
-    header.warmupPerCore = resolveWarmCount(cfg);
-    header.instr = instr;
-    header.numCores = cfg.numCores;
-    header.archId = archIdOf(cfg.arch);
-    header.stateHash = stateHash(cfg, describeMix(mix), seed_salt,
-                                 header.warmupPerCore);
-    header.fullHash = fullHash(header.stateHash, cfg);
+    const CheckpointHeader header =
+        warmupHeader(cfg, describeMix(mix), seed_salt, instr);
 
     cfg.core.instructions = instr;
     std::vector<AccessGeneratorPtr> gens;
@@ -507,7 +530,7 @@ makeWarmupCheckpoint(SystemConfig cfg, const Mix &mix,
 
     System sys(cfg, std::move(gens));
     sys.warmup(header.warmupPerCore);
-    return capture(sys, header, version);
+    return capture(sys, header);
 }
 
 RunResult
@@ -518,23 +541,8 @@ runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
 {
     if (mix.apps.size() != cfg.numCores)
         throw CkptError("ckpt: mix width != core count");
-    if (!ckpt)
-        throw CkptError("ckpt: empty checkpoint view");
-
-    const std::uint64_t want_state =
-        stateHash(cfg, describeMix(mix), seed_salt,
-                  resolveWarmCount(cfg));
-    if (want_state != ckpt.header.stateHash)
-        throw CkptError(
-            "ckpt: configuration/stream mismatch (the checkpoint was "
-            "taken under a different system configuration, workload, "
-            "seed or warm-up length)");
-    if (!fork &&
-        fullHash(want_state, cfg) != ckpt.header.fullHash)
-        throw CkptError(
-            "ckpt: policy mismatch (the checkpoint was taken under a "
-            "different partitioning policy; use a warmup-fork restore "
-            "to seed a different policy)");
+    const CheckpointHeader expect =
+        warmupHeader(cfg, describeMix(mix), seed_salt, instr_per_core);
 
     cfg.core.instructions = instr_per_core;
     std::vector<AccessGeneratorPtr> gens;
@@ -543,23 +551,9 @@ runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
         gens.push_back(makeGenerator(mix.apps[i], i, seed_salt));
 
     System sys(cfg, std::move(gens));
-    Deserializer d(ckpt.payload, ckpt.payloadSize,
-                   ckpt.header.version);
-    sys.restore(d, fork);
-    if (!d.atEnd())
-        throw CkptError("ckpt: trailing bytes after the last section");
-    ckpt = CheckpointView{}; // restored: let the bytes go before the run
+    // Moved in: the bytes go once restored, before the timed run.
+    restoreInto(sys, std::move(ckpt), expect, fork);
     return runFidelityOn(sys, mix.name, instr_per_core);
-}
-
-RunResult
-runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
-                     std::uint64_t instr_per_core,
-                     std::uint64_t seed_salt, const Checkpoint &ckpt,
-                     bool fork)
-{
-    return runMixFromCheckpoint(std::move(cfg), mix, instr_per_core,
-                                seed_salt, viewOf(ckpt), fork);
 }
 
 } // namespace dapsim::ckpt

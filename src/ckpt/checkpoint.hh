@@ -1,21 +1,18 @@
 /**
  * @file
- * The `dapsim.ckpt.v1`/`.v2` checkpoint formats and their high-level
- * API.
+ * The `dapsim.ckpt.v2` checkpoint format and its high-level API.
  *
  * A checkpoint captures a System at its quiescent point — tick 0,
  * after functional warm-up, before run() — so a restored run continues
  * bit-identically to an uninterrupted one. The container is a
  * journaled header (magic, version, config hashes, tick) followed by a
  * CRC32-guarded payload of named component sections (System::save).
- *
- * The two versions share the container and section framing and differ
- * only in the payload encoding: v1 is the per-primitive byte stream,
- * v2 (the default for new saves) stores large component arrays as
- * bulk little-endian spans so a restore is a handful of memcpys out
- * of the payload — which CheckpointView/readFileMapped can leave
- * memory-mapped on disk instead of copying onto the heap. Both
- * versions restore; see DESIGN.md §14.
+ * The payload stores large component arrays as bulk little-endian
+ * spans, so a restore is a handful of memcpys out of the payload —
+ * which CheckpointView/readFileMapped can leave memory-mapped on disk
+ * instead of copying onto the heap (DESIGN.md §14). A file of any
+ * other version, including the retired per-primitive version 1, is
+ * refused with a CkptError.
  *
  * Two hashes guard restores:
  *  - stateHash covers everything the warm state depends on: the
@@ -49,15 +46,6 @@ namespace dapsim::ckpt
 /** File magic: the first eight bytes of every checkpoint. */
 inline constexpr char kMagic[8] = {'D', 'A', 'P', 'S', 'I', 'M', 'C', 'K'};
 
-/** Per-primitive payload encoding (the "v1" in dapsim.ckpt.v1). */
-inline constexpr std::uint32_t kVersionV1 = 1;
-
-/** Bulk-span payload encoding (dapsim.ckpt.v2, mmap/memcpy restore). */
-inline constexpr std::uint32_t kVersionV2 = 2;
-
-/** Version newly captured checkpoints default to. */
-inline constexpr std::uint32_t kVersion = kVersionV2;
-
 /** Journaled checkpoint header (see DESIGN.md for the byte layout). */
 struct CheckpointHeader
 {
@@ -66,7 +54,7 @@ struct CheckpointHeader
     std::uint64_t stateHash = 0;
     /** stateHash + policy kind/configuration (exact restore). */
     std::uint64_t fullHash = 0;
-    /** Simulated tick of the snapshot; always 0 in v1. */
+    /** Simulated tick of the snapshot; always 0. */
     std::uint64_t tick = 0;
     std::uint64_t seedSalt = 0;
     /** Warm-up accesses per core actually executed before the snapshot. */
@@ -92,10 +80,10 @@ struct Checkpoint
  * A non-owning-by-default window onto a validated checkpoint whose
  * payload bytes may live anywhere: a heap Checkpoint, or a read-only
  * file mapping (readFileMapped). Restores deserialize straight out of
- * @p payload — with a v2 payload the bulk arrays are memcpy'd from
- * the mapping into the component SoA arrays with no intermediate
- * decode or heap copy. @p backing keeps the bytes alive; a view with
- * a null payload means "no checkpoint".
+ * @p payload — the bulk arrays are memcpy'd from the mapping into the
+ * component SoA arrays with no intermediate decode or heap copy.
+ * @p backing keeps the bytes alive; a view with a null payload means
+ * "no checkpoint".
  */
 struct CheckpointView
 {
@@ -139,13 +127,39 @@ std::uint64_t stateHash(const SystemConfig &cfg,
 std::uint64_t fullHash(std::uint64_t state_hash, const SystemConfig &cfg);
 
 /**
- * Snapshot @p sys (which must be at its quiescent point). The caller
- * provides the header's config hashes and bookkeeping fields; tick and
- * pendingEvents are filled in here. @p version selects the payload
- * encoding (kVersionV1 or kVersionV2).
+ * The header a warm-up capture of @p cfg carries: both hashes,
+ * computed from this PRE-construction configuration (System's
+ * constructor derives fields in its own copy), the seed salt, the
+ * warm-up length resolveWarmCount(cfg) and the bookkeeping fields.
+ * @p stream_desc is describeMix() of the mix, or any stable
+ * description of the streams (`dapsim --trace` uses the path).
+ * capture() fills in tick and pendingEvents.
  */
-Checkpoint capture(System &sys, CheckpointHeader header,
-                   std::uint32_t version = kVersion);
+CheckpointHeader warmupHeader(const SystemConfig &cfg,
+                              const std::string &stream_desc,
+                              std::uint64_t seed_salt,
+                              std::uint64_t instr);
+
+/**
+ * Snapshot @p sys (which must be at its quiescent point). The caller
+ * provides the header's config hashes and bookkeeping fields
+ * (warmupHeader); tick and pendingEvents are filled in here.
+ */
+Checkpoint capture(System &sys, CheckpointHeader header);
+
+/**
+ * Restore @p view into @p sys, a freshly constructed System built
+ * from the configuration and streams @p expect (warmupHeader) was
+ * made for. Throws CkptError when the view is empty, when its
+ * stateHash differs from @p expect's, when — unless @p fork — its
+ * fullHash differs, or when bytes follow the last section. With
+ * @p fork the checkpoint's policy section is skipped, so a warm-up
+ * taken under one policy seeds any policy variant. The view is
+ * dropped on return, so a caller that moves in its last reference
+ * frees the bytes before the timed run.
+ */
+void restoreInto(System &sys, CheckpointView view,
+                 const CheckpointHeader &expect, bool fork = false);
 
 /** Serialize a checkpoint to the on-disk byte layout. */
 std::vector<std::uint8_t> encode(const Checkpoint &ckpt);
@@ -183,15 +197,11 @@ void writeFileAtomic(const std::string &path, const Checkpoint &ckpt);
  */
 Checkpoint makeWarmupCheckpoint(SystemConfig cfg, const Mix &mix,
                                 std::uint64_t instr,
-                                std::uint64_t seed_salt,
-                                std::uint32_t version = kVersion);
+                                std::uint64_t seed_salt);
 
 /**
- * runMix, but starting from @p ckpt instead of executing the warm-up.
- * Verifies stateHash (and, unless @p fork, fullHash) against the
- * checkpoint before restoring; throws CkptError on mismatch. With
- * @p fork the checkpoint's policy section is skipped, so a warm-up
- * taken under one policy seeds any policy variant. The view is
+ * runMix, but starting from @p ckpt instead of executing the warm-up
+ * (restoreInto: same checks, same @p fork meaning). The view is
  * dropped once restored, before the timed run, so a caller that moves
  * in its last reference frees the bytes early.
  */
@@ -199,11 +209,6 @@ RunResult runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
                                std::uint64_t instr_per_core,
                                std::uint64_t seed_salt,
                                CheckpointView ckpt, bool fork = false);
-
-RunResult runMixFromCheckpoint(SystemConfig cfg, const Mix &mix,
-                               std::uint64_t instr_per_core,
-                               std::uint64_t seed_salt,
-                               const Checkpoint &ckpt, bool fork = false);
 
 } // namespace dapsim::ckpt
 

@@ -2,8 +2,8 @@
  * @file
  * Durable filesystem primitives for the experiment service.
  *
- * Thin wrappers over POSIX I/O providing the three guarantees the
- * `dapsim.expq.v1` store is built on:
+ * Thin wrappers over POSIX I/O providing the guarantees the
+ * `dapsim.expq.v1` store and the shared warm-up cache are built on:
  *
  *  - atomicWriteFile(): write-to-temp + fsync + rename(2), so readers
  *    never observe a half-written file no matter when the writer dies.
@@ -11,6 +11,8 @@
  *    so a crash can tear at most the final record of a ledger.
  *  - createExclusive(): O_CREAT|O_EXCL lock-file creation, the atomic
  *    take-it-or-lose primitive behind job leases and warmup locks.
+ *  - ownerRecord() and reapIfStale(): the one owner-file protocol of
+ *    those leases and locks — who holds one, and when it is dead.
  *
  * Everything throws std::runtime_error on failure (never fatal()), so
  * an I/O error inside a worker fails one operation, not the process.
@@ -21,8 +23,12 @@
 
 #include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -30,6 +36,9 @@
 #include <sys/stat.h>
 #include <sys/time.h>
 #include <unistd.h>
+
+#include "common/json_reader.hh"
+#include "common/json_writer.hh"
 
 namespace dapsim::fsio
 {
@@ -155,6 +164,67 @@ fileExists(const std::string &path)
 {
     struct stat st;
     return ::stat(path.c_str(), &st) == 0;
+}
+
+/** This machine's name: an owner record that carries it names a pid
+ *  whose liveness can be checked here. */
+inline std::string
+hostName()
+{
+    char buf[256] = {0};
+    if (::gethostname(buf, sizeof(buf) - 1) != 0)
+        return "unknown-host";
+    return buf;
+}
+
+/** {"pid":N,"host":"..."}: this process as the owner of a lock or
+ *  lease file (what createExclusive writes into it). */
+inline std::string
+ownerRecord()
+{
+    json::JsonWriter w;
+    w.beginObject();
+    w.key("pid").value(static_cast<std::uint64_t>(::getpid()));
+    w.key("host").value(hostName());
+    w.endObject();
+    return w.str();
+}
+
+/**
+ * Remove the owner file at @p path if it is stale, and say whether it
+ * was. It is stale at once when its owner is a dead pid on this host;
+ * a foreign owner, or a record torn by an owner that died mid-write,
+ * goes stale once the file's mtime (its heartbeat) is older than
+ * @p ttl_sec. The file is renamed aside before the unlink, so exactly
+ * one of several racing reapers removes it.
+ */
+inline bool
+reapIfStale(const std::string &path, double ttl_sec)
+{
+    bool stale = false;
+    try {
+        std::ifstream in(path);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        if (in && !text.empty()) {
+            const json::Value v = json::parse(text);
+            if (v.at("host").asString() == hostName()) {
+                const pid_t pid = static_cast<pid_t>(v.at("pid").asU64());
+                stale = ::kill(pid, 0) != 0 && errno == ESRCH;
+            }
+        }
+    } catch (const std::exception &) {
+        // Unreadable or torn record: age decides.
+    }
+    if (!stale)
+        stale = fileAgeSeconds(path) > ttl_sec;
+    if (stale) {
+        const std::string reaped =
+            path + ".reaped." + std::to_string(::getpid());
+        if (::rename(path.c_str(), reaped.c_str()) == 0)
+            ::unlink(reaped.c_str());
+    }
+    return stale;
 }
 
 /**

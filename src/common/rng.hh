@@ -13,6 +13,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "ckpt/serializer.hh"
+
 namespace dapsim
 {
 
@@ -111,29 +113,34 @@ class Rng
         next();
     }
 
-    /** Raw engine state, for checkpointing (see src/ckpt/). */
-    struct State
-    {
-        std::uint64_t s0;
-        std::uint64_t s1;
-    };
-
-    State state() const { return {s0_, s1_}; }
-
-    /** Overwrite the engine state (checkpoint restore). */
+    /** Checkpoint the engine state: two u64s. */
     void
-    setState(const State &st)
+    save(ckpt::Serializer &s) const
     {
-        s0_ = st.s0;
-        s1_ = st.s1;
+        s.u64(s0_);
+        s.u64(s1_);
+    }
+
+    /** Restore what save() wrote. Refuses the all-zero state: a
+     *  seeded Rng never reaches it, and from it every draw is 0. */
+    void
+    restore(ckpt::Deserializer &d)
+    {
+        const std::uint64_t s0 = d.u64();
+        const std::uint64_t s1 = d.u64();
+        if (s0 == 0 && s1 == 0)
+            throw ckpt::CkptError(
+                "ckpt: all-zero RNG state (every draw would be 0)");
+        s0_ = s0;
+        s1_ = s1;
     }
 
   private:
     std::uint64_t s0_;
     std::uint64_t s1_;
     /** gap() memo; derived from the mean argument, so deliberately
-     *  not part of State — a cold memo after restore recomputes the
-     *  identical value. */
+     *  not saved — a cold memo after restore recomputes the identical
+     *  value. */
     double gapMean_ = 0.0;
     double gapLogDenom_ = 0.0;
 };

@@ -1,46 +1,15 @@
 #include "exp/warmup_cache.hh"
 
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <thread>
 
 #include <unistd.h>
 
 #include "common/fsio.hh"
-#include "common/json_reader.hh"
-#include "common/json_writer.hh"
 
 namespace dapsim::exp
 {
-
-namespace
-{
-
-std::string
-hostName()
-{
-    char buf[256] = {0};
-    if (::gethostname(buf, sizeof(buf) - 1) != 0)
-        return "unknown-host";
-    return buf;
-}
-
-/** {"pid":N,"host":"..."} — the lock owner's identity. */
-std::string
-lockContent()
-{
-    json::JsonWriter w;
-    w.beginObject();
-    w.key("pid").value(static_cast<std::uint64_t>(::getpid()));
-    w.key("host").value(hostName());
-    w.endObject();
-    return w.str();
-}
-
-} // namespace
 
 WarmupCache::WarmupCache(std::string dir, double lock_ttl_sec)
     : dir_(std::move(dir)), lockTtlSec_(lock_ttl_sec)
@@ -51,31 +20,6 @@ std::string
 WarmupCache::checkpointPath(std::uint64_t state_hash) const
 {
     return dir_ + "/warmup-" + hashHex(state_hash) + ".ckpt";
-}
-
-bool
-WarmupCache::lockIsStale(const std::string &path) const
-{
-    // Same-host dead owner: immediately stale. Foreign or unreadable
-    // owners fall back to the mtime TTL.
-    try {
-        std::ifstream in(path);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        if (in && !text.empty()) {
-            const json::Value v = json::parse(text);
-            if (v.at("host").asString() == hostName()) {
-                const pid_t pid =
-                    static_cast<pid_t>(v.at("pid").asU64());
-                if (::kill(pid, 0) != 0 && errno == ESRCH)
-                    return true;
-            }
-        }
-    } catch (const std::exception &) {
-        // Torn lock content (owner died mid-write): age decides.
-    }
-    const double age = fsio::fileAgeSeconds(path);
-    return age > lockTtlSec_;
 }
 
 WarmupCache::Result
@@ -132,7 +76,7 @@ WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash)
 
         bool acquired = false;
         try {
-            acquired = fsio::createExclusive(lock, lockContent());
+            acquired = fsio::createExclusive(lock, fsio::ownerRecord());
         } catch (const std::exception &e) {
             // Lock dir unwritable: degrade to a local warmup.
             std::fprintf(stderr, "warmup-cache: %s; running warmup "
@@ -160,15 +104,8 @@ WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash)
             return out;
         }
 
-        if (lockIsStale(lock)) {
-            // Reap via rename so exactly one reaper wins, then re-run
-            // the election.
-            const std::string reaped =
-                lock + ".reaped." + std::to_string(::getpid());
-            if (::rename(lock.c_str(), reaped.c_str()) == 0)
-                ::unlink(reaped.c_str());
-            continue;
-        }
+        if (fsio::reapIfStale(lock, lockTtlSec_))
+            continue; // re-run the election
 
         if (std::chrono::steady_clock::now() > deadline) {
             std::fprintf(stderr,

@@ -98,9 +98,6 @@ class WarmupCache
     /** The cross-process load-or-create protocol for one group. */
     Result prepare(const JobSpec &spec, std::uint64_t state_hash);
 
-    /** True when the lock at @p path belongs to a dead owner. */
-    bool lockIsStale(const std::string &path) const;
-
     std::string dir_;
     double lockTtlSec_;
     std::mutex mapMutex_;

@@ -110,8 +110,6 @@ optionTable(CliOptions &o)
          "snapshot the post-warm-up state to FILE"},
         {"--restore-ckpt", "FILE", kDapsim, &o.restoreCkpt,
          "skip warm-up; restore the state from FILE"},
-        {"--ckpt-format", "v1|v2", kDapsim, &o.ckptFormat,
-         "encoding for --save-ckpt (default v2)"},
         {"--sample-every", "N", kDapsim | kSweep, &o.sampleEvery,
          "sample stats every N CPU cycles (sweeps: per job)"},
         {"--sample-out", "FILE", kDapsim, &o.sampleOut,

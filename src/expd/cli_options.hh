@@ -40,7 +40,6 @@ struct CliOptions
     double efficiency = 0.75;
     std::string saveCkpt;
     std::string restoreCkpt;
-    std::string ckptFormat = "v2";
     std::string sampleOut;
     std::string dapTraceFile;
     std::string chromeTraceFile;

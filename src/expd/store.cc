@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 #include <fstream>
 
@@ -11,34 +10,12 @@
 #include <unistd.h>
 
 #include "common/fsio.hh"
-#include "common/json_writer.hh"
 
 namespace dapsim::expd
 {
 
 namespace
 {
-
-std::string
-hostName()
-{
-    char buf[256] = {0};
-    if (::gethostname(buf, sizeof(buf) - 1) != 0)
-        return "unknown-host";
-    return buf;
-}
-
-/** {"pid":N,"host":"..."} — a lease owner's identity. */
-std::string
-ownerContent()
-{
-    json::JsonWriter w;
-    w.beginObject();
-    w.key("pid").value(static_cast<std::uint64_t>(::getpid()));
-    w.key("host").value(hostName());
-    w.endObject();
-    return w.str();
-}
 
 void
 makeDir(const std::string &path)
@@ -247,38 +224,10 @@ Store::tryLease(std::size_t index, double ttl_sec) const
 {
     const std::string path = leasePath(index);
 
-    // Reap a stale lease first: same-host dead owner immediately,
-    // anything else once its heartbeat mtime exceeds the TTL. The
-    // rename makes exactly one racing reaper win.
-    bool stale = false;
-    try {
-        std::ifstream in(path);
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        if (in && !text.empty()) {
-            const json::Value v = json::parse(text);
-            if (v.at("host").asString() == hostName()) {
-                const pid_t pid =
-                    static_cast<pid_t>(v.at("pid").asU64());
-                if (::kill(pid, 0) != 0 && errno == ESRCH)
-                    stale = true;
-            }
-        }
-    } catch (const std::exception &) {
-        // Unreadable/torn lease: age decides.
-    }
-    if (!stale) {
-        const double age = fsio::fileAgeSeconds(path);
-        stale = age > ttl_sec;
-    }
-    if (stale) {
-        const std::string reaped =
-            path + ".reaped." + std::to_string(::getpid());
-        if (::rename(path.c_str(), reaped.c_str()) == 0)
-            ::unlink(reaped.c_str());
-    }
-
-    return fsio::createExclusive(path, ownerContent());
+    // Reap a stale lease first (the rename makes exactly one racing
+    // reaper win), then take it.
+    fsio::reapIfStale(path, ttl_sec);
+    return fsio::createExclusive(path, fsio::ownerRecord());
 }
 
 void

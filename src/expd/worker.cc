@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <thread>
 
 #include <unistd.h>
@@ -58,72 +59,77 @@ runWorker(const WorkerOptions &opt)
     });
 
     WorkerStats stats;
+    // Run job @p i, whose lease this worker holds, and record it.
+    auto runLeased = [&](std::size_t i, const ExpandedJob &job) {
+        events.append(startRecord(i, worker_id));
+        exp::WarmupCache::Result shared;
+        if (!job.group.empty()) {
+            shared = warmups.ensure(job.spec);
+            if (shared.executed || shared.reused) {
+                events.append(warmupRecord(job.group, worker_id,
+                                           shared.executed));
+                stats.warmupsExecuted += shared.executed ? 1 : 0;
+                stats.warmupsReused += shared.reused ? 1 : 0;
+            }
+        }
+        // Moved in: runJob drops the view once restored.
+        const exp::JobResult r =
+            exp::runJob(job.spec, i, std::move(shared.ckpt));
+        const std::string row = exp::jobResultToJson(r);
+        if (r.ok) {
+            events.append(doneRecord(i, worker_id, row));
+            ++stats.executed;
+        } else {
+            fsio::atomicWriteFile(store.stderrPath(i), r.error + "\n");
+            events.append(failedRecord(i, worker_id, r.error, row));
+            ++stats.failed;
+        }
+        if (opt.progress) {
+            std::fprintf(stderr, "[%s] job %zu %s %s\n",
+                         worker_id.c_str(), i,
+                         job.spec.displayLabel().c_str(),
+                         r.ok ? "done" : ("FAILED: " + r.error).c_str());
+            std::fflush(stderr);
+        }
+    };
+
+    // The last job of each warm-up group in this shard: once past it,
+    // run or skipped, the group's checkpoint leaves the heap.
     const std::size_t n = store.jobs().size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i % opt.shardCount != opt.shardIndex)
-            continue;
+    std::map<std::string, std::size_t> last_of_group;
+    for (std::size_t i = opt.shardIndex; i < n; i += opt.shardCount)
+        if (!store.jobs()[i].group.empty())
+            last_of_group[store.jobs()[i].group] = i;
+
+    for (std::size_t i = opt.shardIndex; i < n; i += opt.shardCount) {
         if (opt.maxJobs != 0 &&
             stats.executed + stats.failed >= opt.maxJobs)
             break;
-        if (before.jobs[i].state == JobState::State::Done) {
-            ++stats.skipped;
-            continue;
-        }
-        if (!store.tryLease(i, opt.leaseTtlSec)) {
-            // Live owner elsewhere. If it dies, a later pass (or
-            // `resume`) reaps the stale lease; if it finishes, the
-            // done event is already durable. Either way skipping is
-            // safe — and even a lost race that re-runs the job writes
-            // a bit-identical row.
-            ++stats.skipped;
-            continue;
-        }
-        held.store(static_cast<long long>(i));
-
         const ExpandedJob &job = store.jobs()[i];
-        try {
-            events.append(startRecord(i, worker_id));
-
-            exp::WarmupCache::Result shared;
-            if (!job.group.empty()) {
-                shared = warmups.ensure(job.spec);
-                if (shared.executed || shared.reused) {
-                    events.append(warmupRecord(job.group, worker_id,
-                                               shared.executed));
-                    stats.warmupsExecuted += shared.executed ? 1 : 0;
-                    stats.warmupsReused += shared.reused ? 1 : 0;
-                }
+        // A live owner elsewhere holds the lease: if it dies, a later
+        // pass (or `resume`) reaps the stale lease; if it finishes, the
+        // done event is already durable. Either way skipping is safe —
+        // and even a lost race that re-runs the job writes a
+        // bit-identical row.
+        if (before.jobs[i].state == JobState::State::Done ||
+            !store.tryLease(i, opt.leaseTtlSec)) {
+            ++stats.skipped;
+        } else {
+            held.store(static_cast<long long>(i));
+            try {
+                runLeased(i, job);
+            } catch (...) {
+                held.store(-1);
+                store.releaseLease(i);
+                stop.store(true);
+                heartbeat.join();
+                throw;
             }
-
-            exp::JobResult r = exp::runJob(job.spec, i, shared.ckpt);
-            const std::string row = exp::jobResultToJson(r);
-            if (r.ok) {
-                events.append(doneRecord(i, worker_id, row));
-                ++stats.executed;
-            } else {
-                fsio::atomicWriteFile(store.stderrPath(i),
-                                      r.error + "\n");
-                events.append(
-                    failedRecord(i, worker_id, r.error, row));
-                ++stats.failed;
-            }
-            if (opt.progress) {
-                std::fprintf(stderr, "[%s] job %zu %s %s\n",
-                             worker_id.c_str(), i,
-                             job.spec.displayLabel().c_str(),
-                             r.ok ? "done"
-                                  : ("FAILED: " + r.error).c_str());
-                std::fflush(stderr);
-            }
-        } catch (...) {
             held.store(-1);
             store.releaseLease(i);
-            stop.store(true);
-            heartbeat.join();
-            throw;
         }
-        held.store(-1);
-        store.releaseLease(i);
+        if (!job.group.empty() && last_of_group[job.group] == i)
+            warmups.release(exp::warmupStateHash(job.spec));
     }
 
     stop.store(true);

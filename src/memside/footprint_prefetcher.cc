@@ -66,20 +66,12 @@ FootprintPrefetcher::save(ckpt::Serializer &s) const
 {
     s.u64(table_.size());
     s.u32(blocksPerSector_);
-    if (s.format() >= 2) {
-        // Entry is two packed u64s; the whole table goes out as one
-        // little-endian span (and restores with a single memcpy).
-        static_assert(sizeof(Entry) == 2 * sizeof(std::uint64_t));
-        static_assert(std::has_unique_object_representations_v<Entry>);
-        s.u64Span(reinterpret_cast<const std::uint64_t *>(
-                      table_.data()),
-                  table_.size() * 2);
-    } else {
-        for (const Entry &e : table_) {
-            s.u64(e.tag);
-            s.u64(e.mask);
-        }
-    }
+    // Entry is two packed u64s; the whole table goes out as one
+    // little-endian span (and restores with a single memcpy).
+    static_assert(sizeof(Entry) == 2 * sizeof(std::uint64_t));
+    static_assert(std::has_unique_object_representations_v<Entry>);
+    s.u64Span(reinterpret_cast<const std::uint64_t *>(table_.data()),
+              table_.size() * 2);
     s.u64(predictions.value());
     s.u64(historyHits.value());
 }
@@ -89,15 +81,8 @@ FootprintPrefetcher::restore(ckpt::Deserializer &d)
 {
     if (d.u64() != table_.size() || d.u32() != blocksPerSector_)
         throw ckpt::CkptError("ckpt: footprint table shape mismatch");
-    if (d.format() >= 2) {
-        d.u64Span(reinterpret_cast<std::uint64_t *>(table_.data()),
-                  table_.size() * 2);
-    } else {
-        for (Entry &e : table_) {
-            e.tag = d.u64();
-            e.mask = d.u64();
-        }
-    }
+    d.u64Span(reinterpret_cast<std::uint64_t *>(table_.data()),
+              table_.size() * 2);
     predictions.set(d.u64());
     historyHits.set(d.u64());
 }

@@ -43,9 +43,7 @@ void
 BearPolicy::save(ckpt::Serializer &s) const
 {
     s.bytes(reuse_.data(), reuse_.size());
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(bypasses.value());
 }
 
@@ -56,10 +54,7 @@ BearPolicy::restore(ckpt::Deserializer &d)
     if (reuse.size() != reuse_.size())
         throw ckpt::CkptError("ckpt: BEAR reuse table size mismatch");
     reuse_ = reuse;
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
+    rng_.restore(d);
     bypasses.set(d.u64());
 }
 

@@ -3,10 +3,10 @@
  * Fidelity-dispatching run driver (`--fidelity {exact,sampled,analytic}`).
  *
  * runFidelityOn() finishes a warmed (or checkpoint-restored) System at
- * the fidelity its configuration selects; runMix and
- * ckpt::runMixFromCheckpoint both funnel through it, so every layer
- * above them (jobs, sweeps, the experiment service, the CLI) inherits
- * fidelity selection without further dispatch.
+ * the fidelity its configuration selects; runMix,
+ * ckpt::runMixFromCheckpoint and the dapsim CLI all funnel through it,
+ * so every layer above them (jobs, sweeps, the experiment service)
+ * inherits fidelity selection without further dispatch.
  *
  *  - exact: the historical cycle-accurate path, statement-for-
  *    statement what run()+harvest() executed before this layer existed

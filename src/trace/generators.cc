@@ -92,9 +92,7 @@ StreamKernelGenerator::StreamKernelGenerator(std::uint64_t footprint_bytes,
 void
 SyntheticGenerator::save(ckpt::Serializer &s) const
 {
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(streamPtr_);
     s.u64(runPtr_);
     s.u32(runLeft_);
@@ -103,12 +101,9 @@ SyntheticGenerator::save(ckpt::Serializer &s) const
 void
 SyntheticGenerator::restore(ckpt::Deserializer &d)
 {
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
-    streamPtr_ = d.u64();
-    runPtr_ = d.u64();
+    rng_.restore(d);
+    streamPtr_ = d.cursor(blocks_, "stream pointer");
+    runPtr_ = d.cursor(blocks_, "run pointer");
     runLeft_ = d.u32();
 }
 

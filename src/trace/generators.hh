@@ -107,7 +107,11 @@ class StreamKernelGenerator final : public AccessGenerator
     bool next(TraceRequest &out) override;
 
     void save(ckpt::Serializer &s) const override { s.u64(ptr_); }
-    void restore(ckpt::Deserializer &d) override { ptr_ = d.u64(); }
+    void
+    restore(ckpt::Deserializer &d) override
+    {
+        ptr_ = d.cursor(footprint_, "stream pointer");
+    }
 
   private:
     std::uint64_t footprint_;

@@ -50,10 +50,8 @@ class TraceFileGenerator final : public AccessGenerator
     void
     restore(ckpt::Deserializer &d) override
     {
-        pos_ = d.u64();
+        pos_ = d.cursor(records_.size(), "trace cursor");
         loops_ = d.u64();
-        if (pos_ >= records_.size())
-            throw ckpt::CkptError("ckpt: trace cursor past end of trace");
     }
 
     std::size_t records() const { return records_.size(); }

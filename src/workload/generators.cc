@@ -117,9 +117,7 @@ ZipfGenerator::draw(std::uint64_t &gap)
 void
 ZipfGenerator::save(ckpt::Serializer &s) const
 {
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(accesses_);
     s.u64(runPtr_);
     s.u32(runLeft_);
@@ -128,12 +126,9 @@ ZipfGenerator::save(ckpt::Serializer &s) const
 void
 ZipfGenerator::restore(ckpt::Deserializer &d)
 {
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
+    rng_.restore(d);
     accesses_ = d.u64();
-    runPtr_ = d.u64();
+    runPtr_ = d.cursor(blocks_, "run pointer");
     runLeft_ = d.u32();
 }
 
@@ -177,9 +172,7 @@ HotspotGenerator::draw(std::uint64_t &gap)
 void
 HotspotGenerator::save(ckpt::Serializer &s) const
 {
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(accesses_);
     s.u64(runPtr_);
     s.u32(runLeft_);
@@ -188,12 +181,9 @@ HotspotGenerator::save(ckpt::Serializer &s) const
 void
 HotspotGenerator::restore(ckpt::Deserializer &d)
 {
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
+    rng_.restore(d);
     accesses_ = d.u64();
-    runPtr_ = d.u64();
+    runPtr_ = d.cursor(blocks_, "run pointer");
     runLeft_ = d.u32();
 }
 
@@ -219,20 +209,15 @@ FloodGenerator::draw(std::uint64_t &gap)
 void
 FloodGenerator::save(ckpt::Serializer &s) const
 {
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(ptr_);
 }
 
 void
 FloodGenerator::restore(ckpt::Deserializer &d)
 {
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
-    ptr_ = d.u64();
+    rng_.restore(d);
+    ptr_ = d.cursor(blocks_, "flood pointer");
 }
 
 // ---- ChaseGenerator ------------------------------------------------
@@ -261,19 +246,14 @@ ChaseGenerator::draw(std::uint64_t &gap)
 void
 ChaseGenerator::save(ckpt::Serializer &s) const
 {
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(counter_);
 }
 
 void
 ChaseGenerator::restore(ckpt::Deserializer &d)
 {
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
+    rng_.restore(d);
     counter_ = d.u64();
 }
 
@@ -311,9 +291,7 @@ WriteBurstGenerator::draw(std::uint64_t &gap)
 void
 WriteBurstGenerator::save(ckpt::Serializer &s) const
 {
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(pos_);
     s.u64(writePtr_);
 }
@@ -321,12 +299,9 @@ WriteBurstGenerator::save(ckpt::Serializer &s) const
 void
 WriteBurstGenerator::restore(ckpt::Deserializer &d)
 {
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
-    pos_ = d.u64();
-    writePtr_ = d.u64();
+    rng_.restore(d);
+    pos_ = d.cursor(cycleLen_, "burst-cycle position");
+    writePtr_ = d.cursor(blocks_, "write pointer");
 }
 
 // ---- SparseStrideGenerator -----------------------------------------
@@ -351,20 +326,15 @@ SparseStrideGenerator::draw(std::uint64_t &gap)
 void
 SparseStrideGenerator::save(ckpt::Serializer &s) const
 {
-    const Rng::State st = rng_.state();
-    s.u64(st.s0);
-    s.u64(st.s1);
+    rng_.save(s);
     s.u64(ptr_);
 }
 
 void
 SparseStrideGenerator::restore(ckpt::Deserializer &d)
 {
-    Rng::State st;
-    st.s0 = d.u64();
-    st.s1 = d.u64();
-    rng_.setState(st);
-    ptr_ = d.u64();
+    rng_.restore(d);
+    ptr_ = d.cursor(blocks_, "stride pointer");
 }
 
 // DrawnGenerator's next() and drawWarm() link against these.

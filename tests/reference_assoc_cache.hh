@@ -7,13 +7,14 @@
  * fuzz test (test_assoc_cache_diff.cc) replays randomized access
  * streams through this array-of-structures directory and the
  * production SoA one and asserts identical hits, victims, occupancy
- * and v1 checkpoint bytes; bench/kernel_events.cpp uses it as the
+ * and checkpoint bytes; bench/kernel_events.cpp uses it as the
  * "before" side of the per-access microbenchmarks.
  *
- * Do not optimise or otherwise modify this type: its value is that it
- * implements the replacement contract (invalid-way-first, NRU
- * clear-on-saturation, LRU with lowest-way-wins ties) in the most
- * obviously correct way.
+ * Do not optimise or otherwise modify the replacement logic: its value
+ * is that it implements the replacement contract (invalid-way-first,
+ * NRU clear-on-saturation, LRU with lowest-way-wins ties) in the most
+ * obviously correct way. save()/restore() follow the production
+ * checkpoint layout, element by element.
  */
 
 #ifndef DAPSIM_TESTS_REFERENCE_ASSOC_CACHE_HH
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "cache/assoc_cache.hh" // ReplPolicy
@@ -181,8 +183,14 @@ class RefAssocCache
         return n;
     }
 
-    /** v1 checkpoint encode — identical layout to the production
-     *  directory's v1 save (see assoc_cache.hh). */
+    /**
+     * Checkpoint encode in the production directory's layout (see
+     * assoc_cache.hh), written one element at a time: the geometry and
+     * use clock; every line's tag; the valid and NRU bits packed one
+     * word per set; every line's lastUse; then a raw-values flag and
+     * the values, as raw bytes when kRawValues, else via
+     * @p save_value.
+     */
     template <typename SaveValue>
     void
     save(ckpt::Serializer &s, SaveValue &&save_value) const
@@ -191,12 +199,20 @@ class RefAssocCache
         s.u32(ways_);
         s.u32(static_cast<std::uint32_t>(policy_));
         s.u64(useClock_);
-        for (const Line &l : lines_) {
+        for (const Line &l : lines_)
             s.u64(l.tag);
-            s.boolean(l.valid);
-            s.boolean(l.nruRef);
+        for (std::uint64_t set = 0; set < sets_; ++set)
+            s.u64(packBits(set, &Line::valid));
+        for (std::uint64_t set = 0; set < sets_; ++set)
+            s.u64(packBits(set, &Line::nruRef));
+        for (const Line &l : lines_)
             s.u64(l.lastUse);
-            save_value(s, l.value);
+        s.u8(kRawValues ? 1 : 0);
+        for (const Line &l : lines_) {
+            if constexpr (kRawValues)
+                s.raw(&l.value, sizeof(Value));
+            else
+                save_value(s, l.value);
         }
     }
 
@@ -209,16 +225,49 @@ class RefAssocCache
             throw ckpt::CkptError(
                 "ckpt: cache directory geometry mismatch");
         useClock_ = d.u64();
-        for (Line &l : lines_) {
+        for (Line &l : lines_)
             l.tag = d.u64();
-            l.valid = d.boolean();
-            l.nruRef = d.boolean();
+        for (std::uint64_t set = 0; set < sets_; ++set)
+            unpackBits(set, &Line::valid, d.u64());
+        for (std::uint64_t set = 0; set < sets_; ++set)
+            unpackBits(set, &Line::nruRef, d.u64());
+        for (Line &l : lines_)
             l.lastUse = d.u64();
-            restore_value(d, l.value);
+        if ((d.u8() != 0) != kRawValues)
+            throw ckpt::CkptError("ckpt: value encoding mismatch");
+        for (Line &l : lines_) {
+            if constexpr (kRawValues)
+                d.raw(&l.value, sizeof(Value));
+            else
+                restore_value(d, l.value);
         }
     }
 
   private:
+    /** The production rule for writing values as raw bytes. */
+    static constexpr bool kRawValues =
+        std::has_unique_object_representations_v<Value> &&
+        std::is_trivially_copyable_v<Value> &&
+        ckpt::kHostIsLittleEndian;
+
+    /** One bit per way of @p set: way w's @p field in bit w. */
+    std::uint64_t
+    packBits(std::uint64_t set, bool Line::*field) const
+    {
+        std::uint64_t bits = 0;
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (at(set, w).*field)
+                bits |= std::uint64_t(1) << w;
+        return bits;
+    }
+
+    void
+    unpackBits(std::uint64_t set, bool Line::*field, std::uint64_t bits)
+    {
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            at(set, w).*field = (bits >> w) & 1;
+    }
+
     Line &
     at(std::uint64_t set, std::uint32_t way)
     {

@@ -5,10 +5,10 @@
  * Replays pinned-RNG access streams through the production
  * structure-of-arrays directory and the frozen array-of-structures
  * reference (tests/reference_assoc_cache.hh), asserting identical
- * hits, victims, occupancy, flush order and v1 checkpoint bytes at
- * every step, across LRU/NRU and a grid of geometries — for the
+ * hits, victims, occupancy, flush order and checkpoint bytes at every
+ * step, across LRU/NRU and a grid of geometries — for the
  * tag-addressed API and for the single-scan way ops. Also pins the
- * v2 bulk-span encode/decode (raw and per-element value paths) as a
+ * bulk-span encode/decode (raw and per-element value paths) as a
  * lossless round trip of the full directory state.
  */
 
@@ -28,13 +28,13 @@ namespace dapsim
 namespace
 {
 
-/** v1-encode both directories and compare the byte streams. */
+/** Checkpoint both directories and compare the byte streams. */
 template <typename Soa, typename Ref>
 void
 expectSameCkptBytes(const Soa &soa, const Ref &ref)
 {
-    ckpt::Serializer a(1);
-    ckpt::Serializer b(1);
+    ckpt::Serializer a;
+    ckpt::Serializer b;
     soa.save(a, [](ckpt::Serializer &s, const int &v) {
         s.u64(static_cast<std::uint64_t>(v));
     });
@@ -133,9 +133,9 @@ TEST_P(AssocCacheDiff, StreamsAreBitIdentical)
     expectSameCkptBytes(soa, ref);
 }
 
-/** Cross-restore: SoA state restored from reference v1 bytes (and
- *  vice versa) continues bit-identically. */
-TEST_P(AssocCacheDiff, V1CrossRestoreContinuesIdentically)
+/** Cross-restore: SoA state restored from the reference's bytes
+ *  continues bit-identically. */
+TEST_P(AssocCacheDiff, CrossRestoreContinuesIdentically)
 {
     const auto [geo, policy] = GetParam();
     AssocCache<int> soa(geo.sets, geo.ways, policy);
@@ -156,11 +156,11 @@ TEST_P(AssocCacheDiff, V1CrossRestoreContinuesIdentically)
     drive(ref, rng, 1500);
 
     // Restore the SoA directory from the reference's bytes mid-stream.
-    ckpt::Serializer s(1);
+    ckpt::Serializer s;
     ref.save(s, [](ckpt::Serializer &sr, const int &v) {
         sr.u64(static_cast<std::uint64_t>(v));
     });
-    ckpt::Deserializer d(s.buffer(), 1);
+    ckpt::Deserializer d(s.buffer());
     soa.restore(d, [](ckpt::Deserializer &dr, int &v) {
         v = static_cast<int>(dr.u64());
     });
@@ -174,7 +174,7 @@ TEST_P(AssocCacheDiff, V1CrossRestoreContinuesIdentically)
     expectSameCkptBytes(soa, ref);
 }
 
-/** v2 bulk-span round trip preserves the complete directory state
+/** Bulk-span round trip preserves the complete directory state
  *  (raw value path: int has unique object representations). */
 TEST_P(AssocCacheDiff, V2RoundTripIsLossless)
 {
@@ -194,24 +194,23 @@ TEST_P(AssocCacheDiff, V2RoundTripIsLossless)
             c.insert(set, tag, static_cast<int>(rng.below(1000)));
     }
 
-    ckpt::Serializer v2(2);
+    ckpt::Serializer a;
     auto saveInt = [](ckpt::Serializer &s, const int &v) {
         s.u64(static_cast<std::uint64_t>(v));
     };
     auto loadInt = [](ckpt::Deserializer &d, int &v) {
         v = static_cast<int>(d.u64());
     };
-    c.save(v2, saveInt);
+    c.save(a, saveInt);
 
     AssocCache<int> back(geo.sets, geo.ways, policy);
-    ckpt::Deserializer d(v2.buffer(), 2);
+    ckpt::Deserializer d(a.buffer());
     back.restore(d, loadInt);
     ASSERT_TRUE(d.atEnd());
 
-    // Losslessness via the v1 byte stream: every tag, valid/NRU bit,
-    // lastUse and value (stale ways included) must survive.
-    ckpt::Serializer a(1), b(1);
-    c.save(a, saveInt);
+    // Every tag, valid/NRU bit, lastUse and value (stale ways
+    // included) must survive: the restored copy saves the same bytes.
+    ckpt::Serializer b;
     back.save(b, saveInt);
     EXPECT_EQ(a.buffer(), b.buffer());
 }
@@ -292,7 +291,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ReplPolicy::LRU,
                                          ReplPolicy::NRU)));
 
-/** Value type with interior padding: v2 must take the per-element
+/** Value type with interior padding: save must take the per-element
  *  stream fallback (encoding tag 0) and still round-trip. */
 struct Padded
 {
@@ -323,16 +322,15 @@ TEST(AssocCacheDiffV2, PaddedValuesUseStreamFallback)
         v.a = d.u8();
         v.b = d.u64();
     };
-    ckpt::Serializer v2(2);
-    c.save(v2, savePadded);
+    ckpt::Serializer a;
+    c.save(a, savePadded);
 
     AssocCache<Padded> back(8, 4, ReplPolicy::NRU);
-    ckpt::Deserializer d(v2.buffer(), 2);
+    ckpt::Deserializer d(a.buffer());
     back.restore(d, loadPadded);
     ASSERT_TRUE(d.atEnd());
 
-    ckpt::Serializer a(1), b(1);
-    c.save(a, savePadded);
+    ckpt::Serializer b;
     back.save(b, savePadded);
     EXPECT_EQ(a.buffer(), b.buffer());
 }
@@ -341,29 +339,37 @@ TEST(AssocCacheDiffV2, PaddedValuesUseStreamFallback)
  *  lowest-numbered way. Constructs the tie via restore. */
 TEST(AssocCacheDiffV2, LruTieBreakIsLowestWay)
 {
-    AssocCache<int> c(1, 4, ReplPolicy::LRU);
-    for (std::uint64_t t = 0; t < 4; ++t)
+    constexpr std::uint64_t kSets = 1;
+    constexpr std::uint32_t kWays = 4;
+    AssocCache<int> c(kSets, kWays, ReplPolicy::LRU);
+    for (std::uint64_t t = 0; t < kWays; ++t)
         c.insert(0, t, static_cast<int>(t));
 
-    // Force all four lastUse clocks equal through a v1 image.
-    ckpt::Serializer s(1);
+    ckpt::Serializer s;
     c.save(s, [](ckpt::Serializer &sr, const int &v) {
         sr.u64(static_cast<std::uint64_t>(v));
     });
     std::vector<std::uint8_t> img = s.buffer();
-    // Layout: sets u64, ways u32, policy u32, useClock u64, then per
-    // line: tag u64, valid u8, nru u8, lastUse u64, value u64.
-    std::size_t off = 8 + 4 + 4 + 8;
-    for (int w = 0; w < 4; ++w) {
-        const std::size_t lastUseAt = off + 8 + 1 + 1;
+    // Layout: sets u64, ways u32, policy u32, useClock u64, then the
+    // tag span (sets * ways u64), the valid and NRU spans (sets u64
+    // each), the lastUse span (sets * ways u64), and the values.
+    const std::size_t lastUseAt =
+        8 + 4 + 4 + 8 + kSets * kWays * 8 + 2 * kSets * 8;
+    auto lastUseByte = [&](std::uint32_t w, int i) -> std::uint8_t & {
+        return img[lastUseAt + 8 * w + i];
+    };
+    // The span holds the insertion clocks 1..4: the offset is right.
+    for (std::uint32_t w = 0; w < kWays; ++w)
+        ASSERT_EQ(lastUseByte(w, 0), w + 1) << "way " << w;
+    // Force all four lastUse clocks equal.
+    for (std::uint32_t w = 0; w < kWays; ++w)
         for (int i = 0; i < 8; ++i)
-            img[lastUseAt + i] = (i == 0) ? 7 : 0; // lastUse = 7
-        off += 8 + 1 + 1 + 8 + 8;
-    }
-    ckpt::Deserializer d(img, 1);
+            lastUseByte(w, i) = (i == 0) ? 7 : 0; // lastUse = 7
+    ckpt::Deserializer d(img);
     c.restore(d, [](ckpt::Deserializer &dr, int &v) {
         v = static_cast<int>(dr.u64());
     });
+    ASSERT_TRUE(d.atEnd());
 
     const auto victim = c.insert(0, 99, 0);
     ASSERT_TRUE(victim.valid);

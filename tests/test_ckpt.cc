@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the checkpoint subsystem: serializer framing, the
- * dapsim.ckpt.v1 container, bit-identical save/restore across every
+ * dapsim.ckpt.v2 container, bit-identical save/restore across every
  * MS$ architecture and partitioning policy, mismatch rejection, and
  * the sweep runner's warmup-fork mode.
  */
@@ -13,9 +13,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 #include "ckpt/checkpoint.hh"
+#include "exp/result_sink.hh"
 #include "exp/sweep_runner.hh"
 #include "sim/presets.hh"
 #include "sim/runner.hh"
@@ -118,7 +120,8 @@ expectRestoreMatchesRun(SystemConfig cfg)
     const ckpt::Checkpoint ck =
         ckpt::makeWarmupCheckpoint(cfg, mix, kInstr, 7);
     const RunResult restored =
-        ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 7, ck);
+        ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 7,
+                                   ckpt::viewOf(ck));
     expectIdentical(direct, restored);
 }
 
@@ -459,7 +462,7 @@ restoreTwoTierIntoTiered()
 
 TEST(Ckpt, TwoTierCheckpointRefusedInTieredConfig)
 {
-    // A v1 checkpoint taken without the remote tier has no "remote"
+    // A checkpoint taken without the remote tier has no "remote"
     // section: restoring it into a 3-tier config must fail with a
     // message naming the missing tier, not a generic framing error.
     const std::string msg = restoreTwoTierIntoTiered();
@@ -489,7 +492,7 @@ TEST(Ckpt, ForkSeedsEveryPolicyBitIdentically)
         variant.policy = p;
         const RunResult direct = runMix(variant, mix, kInstr, 0);
         const RunResult forked = ckpt::runMixFromCheckpoint(
-            variant, mix, kInstr, 0, ck, /*fork=*/true);
+            variant, mix, kInstr, 0, ckpt::viewOf(ck), /*fork=*/true);
         expectIdentical(direct, forked);
     }
 }
@@ -503,17 +506,18 @@ TEST(Ckpt, MismatchedConfigurationRefusesRestore)
 
     SystemConfig bigger = cfg;
     bigger.sectored.capacityBytes = 4 * kMiB;
-    EXPECT_THROW(
-        ckpt::runMixFromCheckpoint(bigger, mix, kInstr, 0, ck),
-        ckpt::CkptError);
+    EXPECT_THROW(ckpt::runMixFromCheckpoint(bigger, mix, kInstr, 0,
+                                            ckpt::viewOf(ck)),
+                 ckpt::CkptError);
 
     // Different seed salt changes the streams: also refused.
-    EXPECT_THROW(ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 1, ck),
+    EXPECT_THROW(ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 1,
+                                            ckpt::viewOf(ck)),
                  ckpt::CkptError);
 
     // Different workload: refused.
     EXPECT_THROW(ckpt::runMixFromCheckpoint(cfg, tinyMix("bwaves"),
-                                            kInstr, 0, ck),
+                                            kInstr, 0, ckpt::viewOf(ck)),
                  ckpt::CkptError);
 }
 
@@ -527,11 +531,11 @@ TEST(Ckpt, MismatchedPolicyRequiresFork)
 
     SystemConfig variant = cfg;
     variant.policy = PolicyKind::Dap;
-    EXPECT_THROW(
-        ckpt::runMixFromCheckpoint(variant, mix, kInstr, 0, ck),
-        ckpt::CkptError);
-    EXPECT_NO_THROW(ckpt::runMixFromCheckpoint(variant, mix, kInstr, 0,
-                                               ck, /*fork=*/true));
+    EXPECT_THROW(ckpt::runMixFromCheckpoint(variant, mix, kInstr, 0,
+                                            ckpt::viewOf(ck)),
+                 ckpt::CkptError);
+    EXPECT_NO_THROW(ckpt::runMixFromCheckpoint(
+        variant, mix, kInstr, 0, ckpt::viewOf(ck), /*fork=*/true));
 }
 
 TEST(Ckpt, CaptureRequiresQuiescentPoint)
@@ -623,46 +627,104 @@ TEST(SweepWarmupFork, CkptDirIsReusedAcrossSweeps)
     std::filesystem::remove_all(dir);
 }
 
-/** Mid-stream v1 <-> v2 round trip: the same warm state captured in
- *  both payload encodings restores to bit-identical runs, and a v1
- *  checkpoint (legacy files) still restores under the v2-default
- *  code. */
-TEST(CkptV2, V1AndV2CapturesRestoreBitIdentically)
+/** Overwrite the low byte of the header's version field (it follows
+ *  the 8-byte magic; the CRC covers only the payload). */
+void
+setVersionByte(std::vector<std::uint8_t> &bytes, std::uint8_t version)
 {
-    const SystemConfig cfg = sectoredTiny();
-    const Mix mix = tinyMix("mcf");
-    const RunResult direct = runMix(cfg, mix, kInstr, 7);
-
-    const ckpt::Checkpoint v1 = ckpt::makeWarmupCheckpoint(
-        cfg, mix, kInstr, 7, ckpt::kVersionV1);
-    const ckpt::Checkpoint v2 = ckpt::makeWarmupCheckpoint(
-        cfg, mix, kInstr, 7, ckpt::kVersionV2);
-    EXPECT_EQ(v1.header.version, 1u);
-    EXPECT_EQ(v2.header.version, 2u);
-    EXPECT_EQ(v1.header.stateHash, v2.header.stateHash);
-    EXPECT_EQ(v1.header.fullHash, v2.header.fullHash);
-
-    expectIdentical(direct,
-                    ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 7, v1));
-    expectIdentical(direct,
-                    ckpt::runMixFromCheckpoint(cfg, mix, kInstr, 7, v2));
+    bytes[8] = version;
 }
 
-/** v2 forks skip the policy section exactly like v1 forks. */
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(b.data()),
+              static_cast<std::streamsize>(b.size()));
+}
+
+/** The retired per-primitive version 1 is refused by every reader,
+ *  with a message that names the version and the way out. */
+TEST(CkptV2, VersionOneFilesAreRefused)
+{
+    std::vector<std::uint8_t> bytes = ckpt::encode(
+        ckpt::makeWarmupCheckpoint(noneTiny(), tinyMix("mcf"), kInstr,
+                                   0));
+    setVersionByte(bytes, 1);
+    auto expectRefused = [](const std::function<void()> &read) {
+        try {
+            read();
+            ADD_FAILURE() << "a version-1 checkpoint was accepted";
+        } catch (const ckpt::CkptError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("version 1 "), std::string::npos) << msg;
+            EXPECT_NE(msg.find("dapsim --save-ckpt"), std::string::npos)
+                << msg;
+        }
+    };
+    expectRefused([&] { (void)ckpt::decode(bytes); });
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "dapsim_v1.ckpt")
+            .string();
+    writeBytes(path, bytes);
+    expectRefused([&] { (void)ckpt::readFile(path); });
+    expectRefused([&] { (void)ckpt::readFileMapped(path); });
+    std::filesystem::remove(path);
+}
+
+/** A version-1 file in a warmup-fork --ckpt-dir is treated as missing:
+ *  the sweep warms up once, replaces it, and its rows equal those of a
+ *  sweep that started from an empty directory. */
+TEST(CkptV2, VersionOneFileInCkptDirIsRegenerated)
+{
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "dapsim_v1_ckpt_dir")
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto sweep = [&](std::uint64_t want_warmups) {
+        exp::SweepRunner runner;
+        addPolicyGrid(runner);
+        runner.setWarmupFork(true, dir);
+        std::vector<std::string> rows;
+        for (const exp::JobResult &r : runner.run(2)) {
+            EXPECT_TRUE(r.ok) << r.error;
+            rows.push_back(exp::jobResultToJson(r));
+        }
+        EXPECT_EQ(runner.warmupsExecuted(), want_warmups);
+        return rows;
+    };
+    const std::vector<std::string> fresh = sweep(1);
+
+    std::vector<std::filesystem::path> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path());
+    ASSERT_EQ(files.size(), 1u);
+    const std::string path = files[0].string();
+    std::vector<std::uint8_t> bytes = ckpt::encode(ckpt::readFile(path));
+    setVersionByte(bytes, 1);
+    writeBytes(path, bytes);
+
+    EXPECT_EQ(sweep(1), fresh);
+    EXPECT_EQ(ckpt::readFile(path).header.version, ckpt::kVersion);
+    std::filesystem::remove_all(dir);
+}
+
+/** Forks skip the policy section and seed other policies. */
 TEST(CkptV2, V2ForkSeedsOtherPolicies)
 {
     SystemConfig cfg = sectoredTiny();
     cfg.policy = PolicyKind::Baseline;
     const Mix mix = tinyMix("mcf");
-    const ckpt::Checkpoint ck = ckpt::makeWarmupCheckpoint(
-        cfg, mix, kInstr, 7, ckpt::kVersionV2);
+    const ckpt::Checkpoint ck =
+        ckpt::makeWarmupCheckpoint(cfg, mix, kInstr, 7);
 
     SystemConfig dap = cfg;
     dap.policy = PolicyKind::Dap;
     const RunResult direct = runMix(dap, mix, kInstr, 7);
-    expectIdentical(direct,
-                    ckpt::runMixFromCheckpoint(dap, mix, kInstr, 7, ck,
-                                               /*fork=*/true));
+    expectIdentical(direct, ckpt::runMixFromCheckpoint(
+                                dap, mix, kInstr, 7, ckpt::viewOf(ck),
+                                /*fork=*/true));
 }
 
 /** readFileMapped serves the same checkpoint as readFile, and the
@@ -707,11 +769,7 @@ TEST(CkptV2, MappedReadRejectsCorruption)
             .string();
     std::vector<std::uint8_t> bytes = ckpt::encode(ck);
     bytes[bytes.size() - 1] ^= 0xff;
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-    }
+    writeBytes(path, bytes);
     EXPECT_THROW((void)ckpt::readFileMapped(path), ckpt::CkptError);
     std::filesystem::remove(path);
 }

@@ -47,8 +47,8 @@ usageFlags(expd::Tool tool)
 
 /** Flag names each tool accepted before the option table (sorted). */
 const std::vector<std::string> kDapsimFlags = {
-    "--arch", "--capacity-mb", "--chrome-trace", "--ckpt-format",
-    "--cores", "--dap-trace", "--efficiency", "--fidelity",
+    "--arch", "--capacity-mb", "--chrome-trace", "--cores",
+    "--dap-trace", "--efficiency", "--fidelity",
     "--fidelity-detail", "--fidelity-period", "--instr", "--list",
     "--policy", "--remote", "--remote-latency-ns", "--remote-outstanding",
     "--remote-scale", "--restore-ckpt", "--sample-every",
@@ -75,8 +75,8 @@ validArgs(expd::Tool tool, const std::string &flag)
 {
     static const std::map<std::string, std::string> values = {
         {"--arch", "sectored"},  {"--policy", "dap"},
-        {"--workload", "mcf"},   {"--ckpt-format", "v1"},
-        {"--sample-format", "csv"}, {"--shard", "0/2"},
+        {"--workload", "mcf"},   {"--sample-format", "csv"},
+        {"--shard", "0/2"},
         {"--fidelity", "sampled"}};
     static const std::set<std::string> switches = {
         "--remote", "--stats", "--list", "--dry-run", "--warmup-fork",
@@ -95,7 +95,7 @@ TEST(CliOptions, EachToolKeepsItsFlagSet)
         {{expd::kDapsim, &kDapsimFlags},
          {expd::kSweep, &kSweepFlags},
          {expd::kExpd, &kExpdFlags}};
-    EXPECT_EQ(kDapsimFlags.size(), 27u);
+    EXPECT_EQ(kDapsimFlags.size(), 26u);
     EXPECT_EQ(kSweepFlags.size(), 29u);
     EXPECT_EQ(kExpdFlags.size(), 22u);
     for (const auto &[tool, flags] : tools) {
@@ -196,8 +196,8 @@ TEST(CliOptions, MalformedCommandLinesRaiseTypedErrors)
     expectRejected(expd::kSweep, {"--arch", ","}, "--arch", ",");
     expectRejected(expd::kSweep, {"--workload", "t1=x"}, "--workload",
                    "t1=x");
-    expectRejected(expd::kDapsim, {"--ckpt-format", "v3"},
-                   "--ckpt-format", "v3");
+    expectRejected(expd::kDapsim, {"--sample-format", "xml"},
+                   "--sample-format", "xml");
     expectRejected(expd::kSweep, {"--sample-format", "jsonl|csv"},
                    "--sample-format", "jsonl|csv");
     for (const char *shard : {"1", "2/2", "a/2", "0/", "/2", "0/0"})

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "common/fsio.hh"
 #include "common/json_reader.hh"
 #include "exp/sweep_runner.hh"
 #include "sim/presets.hh"
@@ -398,6 +403,51 @@ TEST(SweepWarmupFork, CacheReleaseDropsOnlyThatGroup)
     EXPECT_TRUE(cache.ensure(a).executed);
     EXPECT_FALSE(cache.ensure(b).executed);
     EXPECT_EQ(cache.executed(), 3u);
+}
+
+/** A creation lock whose owner is a dead process on this host is
+ *  reaped at once, long before the TTL would age it out, and the
+ *  warm-up then runs and is published. */
+TEST(SweepWarmupFork, DeadOwnersCreationLockIsReapedAtOnce)
+{
+    exp::JobSpec spec;
+    spec.cfg = tinySystem();
+    spec.mix = tinyMix("mcf");
+    spec.instr = 1'000;
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "dapsim_dead_lock")
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    // Past the 30 s TTL a lock is reaped by age whatever its owner.
+    exp::WarmupCache cache(dir, 30.0);
+    const std::string path =
+        cache.checkpointPath(exp::warmupStateHash(spec));
+    const std::string lock = path + ".lock";
+
+    // A guaranteed-dead same-host pid: a child that exits at once.
+    const pid_t dead = fork();
+    ASSERT_GE(dead, 0);
+    if (dead == 0)
+        _exit(0);
+    int status = 0;
+    ASSERT_EQ(waitpid(dead, &status, 0), dead);
+    ASSERT_TRUE(fsio::createExclusive(
+        lock, "{\"pid\":" + std::to_string(dead) + ",\"host\":\"" +
+                  fsio::hostName() + "\"}"));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const exp::WarmupCache::Result res = cache.ensure(spec);
+    const double waited = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    ASSERT_TRUE(res.ckpt);
+    EXPECT_TRUE(res.executed);
+    EXPECT_LT(waited, 15.0);
+    EXPECT_FALSE(fsio::fileExists(lock));
+    EXPECT_EQ(ckpt::readFile(path).header.stateHash,
+              exp::warmupStateHash(spec));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Job, EchoesSpecIdentityFields)

@@ -137,7 +137,7 @@ warmDigest(const Arch &arch, const Workload &wl, std::uint64_t warm)
     System sys(cfg, std::move(gens));
     sys.warmup(warm);
     const std::vector<std::uint8_t> bytes =
-        ckpt::encode(ckpt::capture(sys, h, ckpt::kVersionV2));
+        ckpt::encode(ckpt::capture(sys, h));
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%016" PRIx64, ckpt::fnv1a(bytes));
     return buf;

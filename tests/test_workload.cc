@@ -3,17 +3,20 @@
  * Tests for the workload engine (src/workload/): the Zipf sampler's
  * statistical fidelity, the Feistel block permutation, spec parsing
  * and validation, seed determinism of every kernel, checkpoint
- * round-trips cut mid-phase-drift, and the MixComposer.
+ * round-trips cut mid-phase-drift, restore validation of every
+ * generator's cursors and RNG state, and the MixComposer.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 #include <vector>
 
 #include "ckpt/serializer.hh"
+#include "trace/generators.hh"
 #include "trace/workloads.hh"
 #include "workload/compose.hh"
 #include "workload/spec.hh"
@@ -354,6 +357,105 @@ TEST(MixComposer, MakeGeneratorDispatchesSpecProfiles)
         ASSERT_TRUE(direct->next(b));
         ASSERT_EQ(a.addr, b.addr);
         ASSERT_EQ(a.instrGap, b.instrGap);
+    }
+}
+
+
+// ---- Restore validation --------------------------------------------
+
+/** A u64 position in a generator's saved state and the number of
+ *  values restore may accept there. */
+struct Cursor
+{
+    std::size_t offset;
+    std::uint64_t bound;
+};
+
+struct RestoreCase
+{
+    const char *name;
+    std::function<AccessGeneratorPtr()> make;
+    /** The state starts with the two xorshift128+ words. */
+    bool rng;
+    std::vector<Cursor> cursors;
+};
+
+void
+putU64(std::vector<std::uint8_t> &b, std::size_t at, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void
+restoreFresh(const RestoreCase &c, const std::vector<std::uint8_t> &b)
+{
+    ckpt::Deserializer d(b);
+    c.make()->restore(d);
+    EXPECT_TRUE(d.atEnd()) << c.name;
+}
+
+/** A CRC-valid image from another build must not aim a generator
+ *  outside its footprint or zero its RNG: restore refuses both, at
+ *  the first out-of-range value of every cursor, and accepts the
+ *  unpatched bytes. */
+TEST(GeneratorRestore, RefusesOutOfRangeCursorsAndZeroRngState)
+{
+    constexpr std::uint64_t kBlocks = kMiB / kBlockBytes;
+    auto spec = [](const char *s) {
+        return [s] { return workload::makeSpecGenerator(s, 1, 9); };
+    };
+    SyntheticParams sp;
+    sp.footprintBytes = kMiB;
+    // wburst: a cycle is 64 writes + 64 * (1 - 0.5) / 0.5 reads.
+    const std::vector<RestoreCase> cases = {
+        {"synthetic",
+         [&] { return std::make_unique<SyntheticGenerator>(sp); }, true,
+         {{16, kBlocks}, {24, kBlocks}}},
+        {"stream",
+         [] { return std::make_unique<StreamKernelGenerator>(kMiB, 1, 0); },
+         false, {{0, kBlocks}}},
+        {"zipf", spec("zipf:fp=1M"), true, {{24, kBlocks}}},
+        {"hotspot", spec("hotspot:fp=1M"), true, {{24, kBlocks}}},
+        {"flood", spec("flood:fp=1M"), true, {{16, kBlocks}}},
+        {"sparse", spec("sparse:fp=1M,stride=8"), true, {{16, kBlocks}}},
+        {"wburst", spec("wburst:fp=1M,burst=64,duty=0.5"), true,
+         {{16, 128}, {24, kBlocks}}},
+        {"chase", spec("chase:fp=1M"), true, {}},
+    };
+    for (const RestoreCase &c : cases) {
+        auto g = c.make();
+        TraceRequest r;
+        for (int i = 0; i < 5'000; ++i)
+            ASSERT_TRUE(g->next(r)) << c.name;
+        ckpt::Serializer s;
+        g->save(s);
+        const std::vector<std::uint8_t> saved = s.buffer();
+
+        // Unpatched: restores, and saves back the same bytes.
+        auto back = c.make();
+        ckpt::Deserializer d(saved);
+        back->restore(d);
+        EXPECT_TRUE(d.atEnd()) << c.name;
+        ckpt::Serializer again;
+        back->save(again);
+        EXPECT_EQ(again.buffer(), saved) << c.name;
+
+        for (const Cursor &k : c.cursors) {
+            std::vector<std::uint8_t> b = saved;
+            putU64(b, k.offset, k.bound - 1);
+            EXPECT_NO_THROW(restoreFresh(c, b))
+                << c.name << " @" << k.offset;
+            putU64(b, k.offset, k.bound);
+            EXPECT_THROW(restoreFresh(c, b), ckpt::CkptError)
+                << c.name << " @" << k.offset;
+        }
+        if (c.rng) {
+            std::vector<std::uint8_t> b = saved;
+            putU64(b, 0, 0);
+            putU64(b, 8, 0);
+            EXPECT_THROW(restoreFresh(c, b), ckpt::CkptError) << c.name;
+        }
     }
 }
 

@@ -67,60 +67,29 @@ main(int argc, char **argv)
             gens.push_back(makeGenerator(cm.mix.apps[i], i, seed));
     }
 
-    // Both hashes come from the PRE-construction configuration (the
-    // System constructor derives fields in its own copy).
-    const std::uint64_t warm = ckpt::resolveWarmCount(cfg);
-    const std::uint64_t state_hash =
-        ckpt::stateHash(cfg, stream_desc, seed, warm);
-    const std::uint64_t full_hash = ckpt::fullHash(state_hash, cfg);
-
+    // The header's hashes come from the PRE-construction configuration
+    // (the System constructor derives fields in its own copy).
+    const ckpt::CheckpointHeader header =
+        ckpt::warmupHeader(cfg, stream_desc, seed, instr);
     System sys(cfg, std::move(gens));
     try {
         if (!opt.restoreCkpt.empty()) {
-            // Mapped read: v2 payload arrays restore by memcpy straight
-            // out of the page cache (v1 streams decode from it too).
-            const ckpt::CheckpointView c =
-                ckpt::readFileMapped(opt.restoreCkpt);
-            if (c.header.stateHash != state_hash)
-                throw ckpt::CkptError(
-                    "ckpt: configuration/stream mismatch (the "
-                    "checkpoint was taken under a different system "
-                    "configuration, workload, seed or warm-up "
-                    "length)");
-            if (c.header.fullHash != full_hash)
-                throw ckpt::CkptError(
-                    "ckpt: policy mismatch (the checkpoint was taken "
-                    "under a different partitioning policy)");
-            ckpt::Deserializer d(c.payload, c.payloadSize,
-                                 c.header.version);
-            sys.restore(d);
-            if (!d.atEnd())
-                throw ckpt::CkptError(
-                    "ckpt: trailing bytes after the last section");
+            // Mapped read: the payload arrays restore by memcpy
+            // straight out of the page cache.
+            ckpt::CheckpointView c = ckpt::readFileMapped(opt.restoreCkpt);
+            const std::uint64_t warm = c.header.warmupPerCore;
+            ckpt::restoreInto(sys, std::move(c), header);
             std::printf("restored %s (%llu warm-up accesses/core)\n",
                         opt.restoreCkpt.c_str(),
-                        static_cast<unsigned long long>(
-                            c.header.warmupPerCore));
+                        static_cast<unsigned long long>(warm));
         } else {
-            sys.warmup(warm);
+            sys.warmup(header.warmupPerCore);
             if (!opt.saveCkpt.empty()) {
-                ckpt::CheckpointHeader h;
-                h.stateHash = state_hash;
-                h.fullHash = full_hash;
-                h.seedSalt = seed;
-                h.warmupPerCore = warm;
-                h.instr = instr;
-                h.numCores = cfg.numCores;
-                h.archId = ckpt::archIdOf(cfg.arch);
-                ckpt::writeFile(
-                    opt.saveCkpt,
-                    ckpt::capture(sys, h,
-                                  opt.ckptFormat == "v1"
-                                      ? ckpt::kVersionV1
-                                      : ckpt::kVersionV2));
+                ckpt::writeFile(opt.saveCkpt, ckpt::capture(sys, header));
                 std::printf("saved %s (%llu warm-up accesses/core)\n",
                             opt.saveCkpt.c_str(),
-                            static_cast<unsigned long long>(warm));
+                            static_cast<unsigned long long>(
+                                header.warmupPerCore));
             }
         }
     } catch (const ckpt::CkptError &e) {
