@@ -3,20 +3,25 @@
  * Event-kernel benchmark: scheduler and directory microbenchmarks,
  * emitted as BENCH_kernel.json.
  *
- * The microbenchmarks drive the production `EventQueue` and the frozen
- * reference heap (`tests/reference_event_queue.hh`) through identical
- * event populations — self-rescheduling storms, same-tick bursts,
- * mixed near/far horizons, and large-capture callbacks — and report
- * dispatched events per second for each. Two directory rows do the
- * same for the SoA `AssocCache` against the frozen AoS oracle
+ * Five scheduler rows drive the production `EventQueue` (the timing
+ * wheel over one node slab, DESIGN.md §9) and the frozen reference
+ * heap (`tests/reference_event_queue.hh`) through identical event
+ * populations: self-rescheduling storms with 512 and 4096 chains in
+ * flight, same-tick bursts, mixed near/far horizons, and 40-byte
+ * captures that overflow std::function's inline buffer. Each reports
+ * dispatched events per second for both queues. Two directory rows do
+ * the same for the SoA `AssocCache` against the frozen AoS oracle
  * (`tests/reference_assoc_cache.hh`): a hit-dominated probe storm and
  * a miss-dominated fill/evict churn, in operations per second.
  *
- * The JSON this binary writes is committed at the repo root so the
- * kernel's perf trajectory is tracked PR over PR; CI re-runs it in a
- * Release build and fails if the wheel-vs-reference speedup regresses
- * more than 10% against the committed numbers (ratios, not absolute
- * rates, so the check is hardware-independent).
+ * Every row is the best of three repetitions per side, the reference
+ * and the kernel alternating so a slow spell on a shared host hits
+ * both. The JSON committed at the repo root holds, for each scheduler
+ * row, the row of the run with the median speedup over at least five
+ * Release runs, so one noisy run cannot set the bar. CI re-runs this
+ * binary in a Release build and fails if any row's speedup (kernel
+ * over reference: a ratio, so the check is hardware-independent)
+ * falls more than 10% below the committed one.
  *
  * Usage: kernel_events [--out FILE]
  */
@@ -27,6 +32,8 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/assoc_cache.hh"
@@ -284,38 +291,24 @@ struct Rate
     double eventsPerSec;
 };
 
-/** Best-of-@p reps run of @p scenario on a fresh queue of type Q. */
-template <class Q, class Fn>
-Rate
-measure(Fn scenario, int reps)
+/** Best-of-@p reps rates of @p ref and @p kernel, each of which
+ *  builds its own subject and returns its operation count; the two
+ *  sides run alternately. */
+template <class RefFn, class KernelFn>
+std::pair<Rate, Rate>
+measurePair(RefFn ref, KernelFn kernel, int reps)
 {
-    Rate best{0, 0.0};
-    for (int r = 0; r < reps; ++r) {
-        Q eq;
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::uint64_t n = scenario(eq);
-        const double dt = secondsSince(t0);
-        const double eps = static_cast<double>(n) / dt;
-        if (eps > best.eventsPerSec)
-            best = Rate{n, eps};
-    }
-    return best;
-}
-
-/** Best-of-@p reps run of a self-contained @p run (builds its own
- *  subject, returns the operation count). */
-template <class Fn>
-Rate
-measureOps(Fn run, int reps)
-{
-    Rate best{0, 0.0};
-    for (int r = 0; r < reps; ++r) {
+    std::pair<Rate, Rate> best{Rate{0, 0.0}, Rate{0, 0.0}};
+    const auto time = [](auto &run, Rate &into) {
         const auto t0 = std::chrono::steady_clock::now();
         const std::uint64_t n = run();
-        const double dt = secondsSince(t0);
-        const double ops = static_cast<double>(n) / dt;
-        if (ops > best.eventsPerSec)
-            best = Rate{n, ops};
+        const double rate = static_cast<double>(n) / secondsSince(t0);
+        if (rate > into.eventsPerSec)
+            into = Rate{n, rate};
+    };
+    for (int r = 0; r < reps; ++r) {
+        time(ref, best.first);
+        time(kernel, best.second);
     }
     return best;
 }
@@ -351,8 +344,16 @@ main(int argc, char **argv)
     const auto bench = [&](const std::string &name, auto scenario) {
         ScenarioResult r;
         r.name = name;
-        r.ref = measure<RefEventQueue>(scenario, kReps);
-        r.wheel = measure<EventQueue>(scenario, kReps);
+        std::tie(r.ref, r.wheel) = measurePair(
+            [&] {
+                RefEventQueue eq;
+                return scenario(eq);
+            },
+            [&] {
+                EventQueue eq;
+                return scenario(eq);
+            },
+            kReps);
         std::cout << name << ": ref "
                   << static_cast<std::uint64_t>(r.ref.eventsPerSec)
                   << " ev/s, kernel "
@@ -384,13 +385,11 @@ main(int argc, char **argv)
                               ReplPolicy policy, auto scenario) {
         ScenarioResult r;
         r.name = name;
-        r.ref = measureOps(
+        std::tie(r.ref, r.wheel) = measurePair(
             [&] {
                 RefAssocCache<DirMeta> dir(sets, ways, policy);
                 return scenario(dir, kEvents, sets, ways);
             },
-            kReps);
-        r.wheel = measureOps(
             [&] {
                 AssocCache<DirMeta> dir(sets, ways, policy);
                 return scenario(dir, kEvents, sets, ways);

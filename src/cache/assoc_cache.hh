@@ -290,7 +290,7 @@ class AssocCache
      * (`void(ckpt::Serializer&, const Value&)`); restore() reads the
      * state back into an identically shaped cache via @p restore_value
      * (`void(ckpt::Deserializer&, Value&)`) and throws CkptError on a
-     * geometry mismatch.
+     * geometry mismatch or on valid/NRU bits above the way count.
      *
      * The SoA arrays are written whole as bulk spans, and — when Value
      * has unique object representations on a little-endian host — the
@@ -329,6 +329,15 @@ class AssocCache
         d.u64Span(tags_.data(), tags_.size());
         d.u64Span(valid_.data(), valid_.size());
         d.u64Span(nru_.data(), nru_.size());
+        // One OR over both masks: a bit above the way count would
+        // count a way the set does not have (occupancy(), victims).
+        std::uint64_t bits = 0;
+        for (std::size_t i = 0; i < valid_.size(); ++i)
+            bits |= valid_[i] | nru_[i];
+        if ((bits & ~wayMask_) != 0)
+            throw ckpt::CkptError(
+                "ckpt: cache directory valid/NRU bits above the way "
+                "count");
         d.u64Span(lastUse_.data(), lastUse_.size());
         const bool raw = d.u8() != 0;
         if (raw) {

@@ -292,6 +292,23 @@ class Deserializer
         return v;
     }
 
+    /** u64() count of @p bytes_each-byte entries that follow: throws
+     *  CkptError unless they fit in the bytes left (of the innermost
+     *  open section, if any), so a corrupt count cannot size an
+     *  allocation before the read fails. */
+    std::uint64_t
+    count(std::size_t bytes_each, const char *what)
+    {
+        const std::uint64_t n = u64();
+        const std::size_t left =
+            (sectionEnd_.empty() ? size_ : sectionEnd_.back()) - pos_;
+        if (n > left / bytes_each)
+            throw CkptError(std::string("ckpt: ") + what + " count " +
+                            std::to_string(n) + " exceeds the " +
+                            std::to_string(left) + " bytes left");
+        return n;
+    }
+
     double
     f64()
     {

@@ -6,28 +6,6 @@
 namespace dapsim
 {
 
-EventQueue::EventQueue() : buckets_(kSlots), bucketSorted_(kSlots, 1) {}
-
-void
-EventQueue::pushBucket(std::uint64_t quantum, Entry &&e)
-{
-    // Refill path only: unlike direct schedules, refilled entries can
-    // carry any (when, seq), so the order check needs both fields.
-    const std::size_t slot = static_cast<std::size_t>(quantum) & kSlotMask;
-    Bucket &b = buckets_[slot];
-    if (b.keys.empty()) {
-        bucketSorted_[slot] = 1;
-    } else {
-        const Key &last = b.keys.back();
-        if (e.when < last.when ||
-            (e.when == last.when && e.seq < last.seq))
-            bucketSorted_[slot] = 0;
-    }
-    b.keys.push_back(Key{e.when, e.seq});
-    b.cbs.push_back(std::move(e.cb));
-    occupied_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
-}
-
 std::uint64_t
 EventQueue::findFirstOccupied() const
 {
@@ -56,15 +34,15 @@ EventQueue::refillFromOverflow()
 {
     const std::uint64_t end = base_ + kSlots;
     while (!overflow_.empty() &&
-           (overflow_.front().when >> kQuantumBits) < end) {
+           (overflow_.front().key.when >> kQuantumBits) < end) {
         std::pop_heap(overflow_.begin(), overflow_.end(), heapLater);
-        Entry e = std::move(overflow_.back());
+        const FarKey f = overflow_.back();
         overflow_.pop_back();
-        const std::uint64_t q = e.when >> kQuantumBits;
+        const std::uint64_t q = f.key.when >> kQuantumBits;
         if (q <= base_)
-            insertRun(e.when, e.seq, std::move(e.cb));
+            insertRun(f.node);
         else
-            pushBucket(q, std::move(e));
+            pushSlot(q, f.node);
     }
 }
 
@@ -72,31 +50,22 @@ void
 EventQueue::promote(std::uint64_t quantum)
 {
     const std::size_t slot = static_cast<std::size_t>(quantum) & kSlotMask;
-    clearRun(); // only consumed husks remain; drop them
-    Bucket &b = buckets_[slot];
-    std::swap(runKeys_, b.keys); // capacities circulate, no moves
-    std::swap(runCbs_, b.cbs);
+    runOrder_.clear(); // only consumed indices remain; drop them
+    runHead_ = 0;
+    for (std::uint32_t n = slots_[slot].head; n != kNil; n = next_[n])
+        runOrder_.push_back(n);
+    slots_[slot] = Slot{};
     occupied_[slot >> 6] &= ~(std::uint64_t(1) << (slot & 63));
     base_ = quantum;
 
-    runOrder_.resize(runKeys_.size());
-    for (std::uint32_t i = 0; i < runOrder_.size(); ++i)
-        runOrder_[i] = i;
-    // Bucket append order mixes direct schedules with overflow refills,
-    // so (when, seq) order must be restored explicitly — unless the
-    // pushes happened to arrive in order (tracked per bucket; the
-    // common clock-edge case). Keys are dense 16-byte pairs, so the
-    // sort never touches the callbacks.
-    if (!bucketSorted_[slot]) {
+    // Bucket order mixes direct schedules with overflow refills, so
+    // restore (when, seq) order unless the pushes arrived sorted (the
+    // common clock-edge case). The sort reads only the dense keys.
+    if (!slotSorted_[slot])
         std::sort(runOrder_.begin(), runOrder_.end(),
                   [this](std::uint32_t x, std::uint32_t y) {
-                      const Key &a = runKeys_[x], &b_ = runKeys_[y];
-                      if (a.when != b_.when)
-                          return a.when < b_.when;
-                      return a.seq < b_.seq;
+                      return before(keys_[x], keys_[y]);
                   });
-        bucketSorted_[slot] = 1;
-    }
 
     // The window end moved with base_; pull newly-near events in.
     refillFromOverflow();
@@ -116,8 +85,9 @@ EventQueue::ensureRun()
         return false;
     // Wheel empty: jump the window to the overflow minimum. The refill
     // lands that quantum's events directly in the (empty) run.
-    clearRun();
-    base_ = overflow_.front().when >> kQuantumBits;
+    runOrder_.clear();
+    runHead_ = 0;
+    base_ = overflow_.front().key.when >> kQuantumBits;
     refillFromOverflow();
     return true;
 }
@@ -127,7 +97,7 @@ EventQueue::nextEventTickSlow()
 {
     if (!ensureRun())
         return kNoEvent;
-    return runKeys_[runOrder_[runHead_]].when;
+    return keys_[runOrder_[runHead_]].when;
 }
 
 bool
@@ -142,9 +112,10 @@ EventQueue::step()
 void
 EventQueue::reserve(std::size_t expected_pending)
 {
+    keys_.reserve(expected_pending);
+    next_.reserve(expected_pending);
+    cbs_.reserve(expected_pending);
     overflow_.reserve(expected_pending);
-    runKeys_.reserve(std::min<std::size_t>(expected_pending, 4096));
-    runCbs_.reserve(std::min<std::size_t>(expected_pending, 4096));
     runOrder_.reserve(std::min<std::size_t>(expected_pending, 4096));
 }
 

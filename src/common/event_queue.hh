@@ -6,19 +6,18 @@
  * closures at absolute ticks; ties are broken by insertion order so that
  * simulations are fully deterministic.
  *
- * Internally the queue is a hierarchical timing wheel (see DESIGN.md
- * §9): a near-future wheel of power-of-two buckets indexed by tick
- * quantum, a far-future overflow min-heap that refills the wheel as its
- * window advances, and a "current run" — the earliest occupied bucket,
- * swapped out wholesale and drained through a small index array sorted
- * by (tick, insertion seq). The common case — events clustered on clock
- * edges within ~1 µs of now — costs O(1) per schedule and amortized
- * O(log bucket-occupancy) comparisons per dispatch, with no per-event
- * heap allocation (callbacks are stored inline, see
- * common/inline_callback.hh) and no per-dispatch bucket scans. Dispatch
- * order is exactly (tick, insertion seq), bit-identical to a
- * binary-heap scheduler; tests/test_event_wheel_fuzz.cc enforces this
- * differentially.
+ * Internally the queue is a hierarchical timing wheel over one node
+ * slab (see DESIGN.md §9). Each pending event is a node — its (tick,
+ * insertion seq) key, a bucket link and its inline callback — recycled
+ * through a LIFO free list, so storage is peakPending() nodes plus
+ * fixed per-slot arrays however long the run. Wheel buckets are
+ * intrusive FIFO node lists, a far-future min-heap of (tick, seq,
+ * node) keys refills the wheel as its window advances, and the
+ * earliest occupied bucket drains as the "current run" through a
+ * node-index array sorted by (tick, seq): O(1) per schedule, amortized
+ * O(log bucket-occupancy) per dispatch, no per-event allocation.
+ * Dispatch order is exactly (tick, insertion seq), bit-identical to a
+ * binary-heap scheduler (tests/test_event_wheel_fuzz.cc).
  */
 
 #ifndef DAPSIM_COMMON_EVENT_QUEUE_HH
@@ -65,7 +64,7 @@ class EventQueue
         virtual void onDispatch(Tick now, std::size_t pending) = 0;
     };
 
-    EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -78,7 +77,8 @@ class EventQueue
     /** Total events executed so far. */
     std::uint64_t executed() const { return executed_; }
 
-    /** High-water mark of pending events (sizing observability). */
+    /** High-water mark of pending events (sizing observability); also
+     *  the node slab's size. */
     std::size_t peakPending() const { return peakPending_; }
 
     /**
@@ -95,31 +95,20 @@ class EventQueue
         if (++pending_ > peakPending_)
             peakPending_ = pending_;
 
+        const std::uint32_t n = allocNode(when, std::move(cb));
         const std::uint64_t q = when >> kQuantumBits;
         if (q > base_) [[likely]] {
             if (q < base_ + kSlots) [[likely]] {
-                const std::size_t slot =
-                    static_cast<std::size_t>(q) & kSlotMask;
-                Bucket &b = buckets_[slot];
-                if (b.keys.empty())
-                    bucketSorted_[slot] = 1;
-                else if (when < b.keys.back().when)
-                    // Direct pushes carry monotonic seq, so only a
-                    // time step backwards breaks the append order.
-                    bucketSorted_[slot] = 0;
-                b.keys.push_back(Key{when, seq_++});
-                b.cbs.push_back(std::move(cb));
-                occupied_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+                pushSlot(q, n);
             } else {
-                overflow_.emplace_back(when, seq_++, std::move(cb));
+                overflow_.push_back(FarKey{keys_[n], n});
                 std::push_heap(overflow_.begin(), overflow_.end(),
                                heapLater);
             }
         } else {
             // At or before the run's quantum (same-tick events
-            // included): joins the current run at its (when, seq)
-            // position.
-            insertRun(when, seq_++, std::move(cb));
+            // included): joins the run at its (when, seq) position.
+            insertRun(n);
         }
     }
 
@@ -137,7 +126,7 @@ class EventQueue
     nextEventTick()
     {
         if (runHead_ < runOrder_.size())
-            return runKeys_[runOrder_[runHead_]].when;
+            return keys_[runOrder_[runHead_]].when;
         return nextEventTickSlow();
     }
 
@@ -172,7 +161,7 @@ class EventQueue
     void setDispatchHook(DispatchHook *hook) { hook_ = hook; }
 
     /**
-     * Pre-size internal storage for an expected steady-state pending
+     * Pre-size the node slab for an expected steady-state pending
      * population (e.g. channels x queue depth) so the run loop never
      * reallocates. Purely an optimisation; growth past the hint works.
      */
@@ -191,30 +180,85 @@ class EventQueue
     static constexpr std::size_t kSlotMask = kSlots - 1;
     static constexpr std::size_t kBitmapWords = kSlots / 64;
     static constexpr std::uint64_t kNoSlot = ~std::uint64_t(0);
+    /** Null node index: end of a bucket list or of the free list. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
 
-    /** (when, seq) dispatch key, kept separate from the callback so
+    /** (when, seq) dispatch key, kept apart from the callback so
      *  sorting and binary searches stream over dense 16-byte keys
-     *  instead of striding across 88-byte entries. */
+     *  instead of striding across 80-byte callbacks. */
     struct Key
     {
         Tick when;
         std::uint64_t seq;
     };
 
-    /** A wheel slot: parallel key/callback arrays in append order. */
-    struct Bucket
+    /** Far-future overflow entry: a node's key plus its index, so heap
+     *  sifts move 24 bytes and never touch the callback. */
+    struct FarKey
     {
-        std::vector<Key> keys;
-        std::vector<Callback> cbs;
+        Key key;
+        std::uint32_t node;
     };
 
-    /** Far-future overflow entry (heap moves whole entries; cold). */
-    struct Entry
+    /** A wheel slot's FIFO node list (kNil head: empty). */
+    struct Slot
     {
-        Tick when;
-        std::uint64_t seq;
-        Callback cb;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
     };
+
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.seq < b.seq;
+    }
+
+    static bool
+    heapLater(const FarKey &a, const FarKey &b)
+    {
+        return before(b.key, a.key);
+    }
+
+    /** Take a node off the free list (or grow the slab by one) and
+     *  fill it with the next insertion seq and @p cb. */
+    std::uint32_t
+    allocNode(Tick when, Callback &&cb)
+    {
+        std::uint32_t n = freeHead_;
+        if (n != kNil) [[likely]] {
+            freeHead_ = next_[n];
+            keys_[n] = Key{when, seq_++};
+            cbs_[n] = std::move(cb);
+        } else {
+            n = static_cast<std::uint32_t>(keys_.size());
+            keys_.push_back(Key{when, seq_++});
+            next_.push_back(kNil);
+            cbs_.push_back(std::move(cb));
+        }
+        return n;
+    }
+
+    /** Append node @p n to @p quantum's bucket. Refills carry any
+     *  (when, seq), so the append-order check compares whole keys. */
+    void
+    pushSlot(std::uint64_t quantum, std::uint32_t n)
+    {
+        const auto slot = static_cast<std::size_t>(quantum) & kSlotMask;
+        Slot &s = slots_[slot];
+        next_[n] = kNil;
+        if (s.head == kNil) {
+            s.head = n;
+            slotSorted_[slot] = 1;
+            occupied_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+        } else {
+            if (before(keys_[n], keys_[s.tail]))
+                slotSorted_[slot] = 0;
+            next_[s.tail] = n;
+        }
+        s.tail = n;
+    }
 
     /** Execute the next event; caller has verified one is pending. */
     void
@@ -222,19 +266,20 @@ class EventQueue
     {
         if (runHead_ == runOrder_.size())
             ensureRun();
-        const std::uint32_t idx = runOrder_[runHead_];
-        ++runHead_;
-        now_ = runKeys_[idx].when;
-        // Move out before invoking: the callback may schedule into the
-        // current run and reallocate runCbs_ under its own captures.
-        Callback cb = std::move(runCbs_[idx]);
+        const std::uint32_t n = runOrder_[runHead_++];
+        now_ = keys_[n].when;
+        // Move out and free the node before invoking: the callback may
+        // reuse this node, or grow the slab under its own captures.
+        Callback cb = std::move(cbs_[n]);
+        next_[n] = freeHead_;
+        freeHead_ = n;
         --pending_;
         ++executed_;
 #if defined(__GNUC__) || defined(__clang__)
         // Overlap the next callback's cache-line fetch with this
         // callback's execution; dispatch order is already known.
         if (runHead_ < runOrder_.size())
-            __builtin_prefetch(&runCbs_[runOrder_[runHead_]]);
+            __builtin_prefetch(&cbs_[runOrder_[runHead_]]);
 #endif
         cb();
         if (hook_ != nullptr) [[unlikely]]
@@ -242,8 +287,7 @@ class EventQueue
     }
 
     /** Out-of-line tail of nextEventTick(): the current run is
-     *  drained, so promote the next bucket (or jump to the overflow
-     *  min) before peeking. */
+     *  drained, so refill it (ensureRun()) before peeking. */
     Tick nextEventTickSlow();
 
     /** Make the current run non-empty, promoting the next occupied
@@ -251,84 +295,67 @@ class EventQueue
      *  event is pending anywhere. */
     bool ensureRun();
 
-    /** Swap bucket @p quantum in as the new current run and sort its
-     *  dispatch order; advances the window (base_) to @p quantum. */
+    /** Move bucket @p quantum's nodes into the current run and sort
+     *  its dispatch order; advances the window (base_) to @p quantum. */
     void promote(std::uint64_t quantum);
 
-    /** Sorted insertion into the current run (binary search over the
-     *  undispatched suffix of runOrder_). */
+    /** Sorted insertion of node @p n into the current run (binary
+     *  search over the undispatched suffix of runOrder_). */
     void
-    insertRun(Tick when, std::uint64_t seq, Callback &&cb)
+    insertRun(std::uint32_t n)
     {
-        const auto idx = static_cast<std::uint32_t>(runKeys_.size());
-        runKeys_.push_back(Key{when, seq});
-        runCbs_.push_back(std::move(cb));
+        if (runHead_ == runOrder_.size()) {
+            // Drained (a same-quantum chain): drop the consumed prefix.
+            runOrder_.clear();
+            runHead_ = 0;
+        }
         const auto pos = std::upper_bound(
             runOrder_.begin() + static_cast<std::ptrdiff_t>(runHead_),
-            runOrder_.end(), Key{when, seq},
+            runOrder_.end(), keys_[n],
             [this](const Key &v, std::uint32_t i) {
-                const Key &a = runKeys_[i];
-                if (v.when != a.when)
-                    return v.when < a.when;
-                return v.seq < a.seq;
+                return before(v, keys_[i]);
             });
-        runOrder_.insert(pos, idx);
+        runOrder_.insert(pos, n);
     }
 
     /** First occupied slot in window order after base_, as an absolute
      *  quantum index; kNoSlot if the wheel is empty. */
     std::uint64_t findFirstOccupied() const;
 
-    /** Move overflow-heap entries that now fall inside the wheel
-     *  window [base_, base_ + kSlots) into their buckets (entries at
-     *  or before base_ go straight into the current run). */
+    /** Move overflow-heap nodes that now fall inside the wheel window
+     *  [base_, base_ + kSlots) into their buckets (nodes at or before
+     *  base_ go straight into the current run). */
     void refillFromOverflow();
 
-    void pushBucket(std::uint64_t quantum, Entry &&e);
+    /** Node slab, parallel arrays indexed by node. A pending node's
+     *  next_ links its bucket list; a free node's links the LIFO free
+     *  list and its callback is empty. The slab grows only when every
+     *  node is pending, so it holds exactly peakPending() nodes. */
+    std::vector<Key> keys_;
+    std::vector<std::uint32_t> next_;
+    std::vector<Callback> cbs_;
+    std::uint32_t freeHead_ = kNil;
 
-    /** Clear the run's consumed storage, keeping capacity. */
-    void
-    clearRun()
-    {
-        runKeys_.clear();
-        runCbs_.clear();
-        runOrder_.clear();
-        runHead_ = 0;
-    }
-
-    static bool
-    heapLater(const Entry &a, const Entry &b)
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
-
-    /** Near-future wheel: bucket per quantum, bitmap for O(1) skip of
-     *  empty slots. Bucket capacity circulates with the run vectors
-     *  via swap, so the steady state allocates nothing. Invariant:
-     *  bucket entries have quantum in (base_, base_ + kSlots) — the
-     *  slot of base_ itself is always empty (its events live in the
-     *  run). */
-    std::vector<Bucket> buckets_;
-    /** Bucket i's append order is already (when, seq) order — true
+    /** Near-future wheel: a FIFO node list per quantum, bitmap for O(1)
+     *  skip of empty slots. Invariant: listed nodes have quantum in
+     *  (base_, base_ + kSlots) — the slot of base_ itself is always
+     *  empty (its events live in the run). */
+    std::array<Slot, kSlots> slots_;
+    /** Slot i's append order is already (when, seq) order — true
      *  whenever events arrive time-sorted (clock-edge clustering), and
-     *  lets promote() skip the sort. Maintained by the push paths. */
-    std::vector<unsigned char> bucketSorted_;
+     *  lets promote() skip the sort. Maintained by pushSlot(). */
+    std::array<unsigned char, kSlots> slotSorted_{};
     std::array<std::uint64_t, kBitmapWords> occupied_{};
     /** Absolute quantum index of the current run (monotonic). */
     std::uint64_t base_ = 0;
 
     /** Far-future overflow: std::push_heap/pop_heap min-heap. All
      *  entries have quantum >= base_ + kSlots. */
-    std::vector<Entry> overflow_;
+    std::vector<FarKey> overflow_;
 
-    /** Current run: every pending event with quantum <= base_, as
-     *  parallel key/callback arrays. Elements stay in place; dispatch
-     *  order is runOrder_[runHead_..], indices sorted by (when, seq).
-     *  Positions before runHead_ are consumed. */
-    std::vector<Key> runKeys_;
-    std::vector<Callback> runCbs_;
+    /** Current run: every pending node with quantum <= base_. Dispatch
+     *  order is runOrder_[runHead_..], node indices sorted by (when,
+     *  seq); positions before runHead_ are consumed. */
     std::vector<std::uint32_t> runOrder_;
     std::size_t runHead_ = 0;
 

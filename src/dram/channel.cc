@@ -360,7 +360,8 @@ Channel::restore(ckpt::Deserializer &d)
         throw ckpt::CkptError("ckpt: DRAM bank count mismatch");
     for (Bank &b : banks_)
         b.restore(d);
-    busResv_.resize(d.u64());
+    busResv_.resize(
+        d.count(2 * sizeof(std::uint64_t), "DRAM bus reservation"));
     for (auto &[start, end] : busResv_) {
         start = d.u64();
         end = d.u64();

@@ -376,5 +376,48 @@ TEST(AssocCacheDiffV2, LruTieBreakIsLowestWay)
     EXPECT_EQ(victim.tag, 0u); // way 0 held tag 0
 }
 
+TEST(AssocCacheDiffV2, RestoreRefusesWayBitsAboveTheWayCount)
+{
+    constexpr std::uint64_t kSets = 2;
+    constexpr std::uint32_t kWays = 4;
+    const auto save = [](const AssocCache<int> &c) {
+        ckpt::Serializer s;
+        c.save(s, [](ckpt::Serializer &sr, const int &v) {
+            sr.u64(static_cast<std::uint64_t>(v));
+        });
+        return s.buffer();
+    };
+    const auto restore = [](const std::vector<std::uint8_t> &img) {
+        AssocCache<int> c(kSets, kWays, ReplPolicy::NRU);
+        ckpt::Deserializer d(img);
+        c.restore(d, [](ckpt::Deserializer &dr, int &v) {
+            v = static_cast<int>(dr.u64());
+        });
+        EXPECT_TRUE(d.atEnd());
+        return c;
+    };
+
+    AssocCache<int> c(kSets, kWays, ReplPolicy::NRU);
+    for (std::uint64_t t = 0; t < 3; ++t)
+        c.insert(0, t, static_cast<int>(t));
+    c.insert(1, 9, 9);
+    const std::vector<std::uint8_t> img = save(c);
+    // Layout as in LruTieBreakIsLowestWay: the valid span (one u64 per
+    // set) follows the header and the tag span, the NRU span follows.
+    const std::size_t validAt = 8 + 4 + 4 + 8 + kSets * kWays * 8;
+    const std::size_t nruAt = validAt + kSets * 8;
+    ASSERT_EQ(img[validAt], 0x07); // ways 0-2 of set 0
+    EXPECT_EQ(save(restore(img)), img);
+
+    // A valid word of 0xff, an NRU bit for way 4, and bit 63 of the
+    // last set's valid word: each names a way the set does not have.
+    for (const std::size_t at :
+         {validAt, nruAt, validAt + kSets * 8 - 1}) {
+        std::vector<std::uint8_t> bad = img;
+        bad[at] = at == nruAt ? 0x10 : (at == validAt ? 0xff : 0x80);
+        EXPECT_THROW(restore(bad), ckpt::CkptError) << "byte " << at;
+    }
+}
+
 } // namespace
 } // namespace dapsim

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "ckpt/serializer.hh"
 #include "common/event_queue.hh"
 #include "dram/dram_system.hh"
 #include "dram/presets.hh"
@@ -257,6 +261,91 @@ TEST_F(DramSystemTest, TurnaroundsAreCounted)
         turns += mem.channel(c).turnarounds.value();
     EXPECT_GT(turns, 0u);
 }
+
+/**
+ * Channel::restore sizes its bus-reservation list from a checkpoint
+ * word, so a CRC-valid image from another build must not reach the
+ * allocation with an impossible count. Unchecked, these counts ended
+ * in std::bad_alloc (2^40), ~770 MB of allocation before "truncated
+ * input" (5*10^7) and std::length_error (2^60 - 1).
+ */
+class BusResvCount : public ::testing::TestWithParam<std::uint64_t>
+{
+  protected:
+    /** Channel 0's bus-reservation count sits after the channel count,
+     *  its bank count and its banks (three u64 each). */
+    static std::size_t
+    countAt(const DramConfig &cfg)
+    {
+        return 8 + 8 + 24 * std::size_t(cfg.ranksPerChannel) *
+                           cfg.banksPerRank;
+    }
+
+    static std::uint64_t
+    word(const std::vector<std::uint8_t> &img, std::size_t at)
+    {
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= std::uint64_t(img[at + i]) << (8 * i);
+        return v;
+    }
+
+    /** A DDR4-2400 image after some traffic has drained. */
+    static std::vector<std::uint8_t>
+    image(const DramConfig &cfg)
+    {
+        EventQueue eq;
+        DramSystem mem(eq, cfg);
+        for (int i = 0; i < 32; ++i)
+            mem.access(static_cast<Addr>(i) * 4096, i % 4 == 0);
+        eq.run();
+        ckpt::Serializer s;
+        mem.save(s);
+        return s.buffer();
+    }
+};
+
+TEST_P(BusResvCount, ImpossibleCountIsATypedError)
+{
+    const DramConfig cfg = presets::ddr4_2400();
+    const std::vector<std::uint8_t> img = image(cfg);
+    const std::size_t at = countAt(cfg);
+    ASSERT_EQ(word(img, 8), std::uint64_t(cfg.ranksPerChannel) *
+                                cfg.banksPerRank);
+    ASSERT_LT(word(img, at), 64u) << "offset is not the count";
+
+    {
+        // The unpatched image round-trips.
+        EventQueue eq;
+        DramSystem mem(eq, cfg);
+        ckpt::Deserializer d(img);
+        mem.restore(d);
+        EXPECT_TRUE(d.atEnd());
+        ckpt::Serializer again;
+        mem.save(again);
+        EXPECT_EQ(again.buffer(), img);
+    }
+
+    std::vector<std::uint8_t> bad = img;
+    for (int i = 0; i < 8; ++i)
+        bad[at + i] = static_cast<std::uint8_t>(GetParam() >> (8 * i));
+    EventQueue eq;
+    DramSystem mem(eq, cfg);
+    ckpt::Deserializer d(bad);
+    try {
+        mem.restore(d);
+        ADD_FAILURE() << "count " << GetParam() << " was accepted";
+    } catch (const ckpt::CkptError &e) {
+        EXPECT_NE(std::string(e.what()).find("bus reservation count"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dram, BusResvCount,
+                         ::testing::Values(std::uint64_t(1) << 40,
+                                           std::uint64_t(50'000'000),
+                                           (std::uint64_t(1) << 60) - 1));
 
 } // namespace
 } // namespace dapsim

@@ -5,7 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/event_queue.hh"
+#include "common/rng.hh"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
 
 namespace dapsim
 {
@@ -109,6 +122,81 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     eq.schedule(10, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(5, [] {}), "past");
+}
+
+/** Heap bytes this process has in use; 0 where the allocator cannot
+ *  say. Sanitizer runtimes replace malloc, so ask theirs. */
+std::size_t
+heapInUse()
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    return __sanitizer_get_current_allocated_bytes();
+#elif defined(__GLIBC__)
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+#else
+    return 0;
+#endif
+}
+
+TEST(EventQueue, StormStorageIsBoundedByPeakPending)
+{
+    // Over >1M events with ~1k pending, the queue's storage must
+    // follow the pending population, not the run length. Chains
+    // self-reschedule across the wheel window; now and then one drops
+    // a 64-event same-tick burst into a single bucket, so storage kept
+    // per slot would grow to a burst's worth in every slot. Then one
+    // chain reschedules itself at its own tick 500k times: the run
+    // must not keep an index per event it drained.
+    struct Storm
+    {
+        EventQueue eq;
+        Rng rng{1};
+        std::uint64_t fired = 0;
+        std::uint64_t budget = 1'200'000;
+
+        void
+        chain()
+        {
+            if (++fired >= budget)
+                return;
+            if (rng.below(1024) == 0) {
+                const Tick at = eq.now() + 1 + rng.below(200'000);
+                for (int i = 0; i < 64; ++i)
+                    eq.schedule(at, [this] { ++fired; });
+            }
+            eq.scheduleAfter(1 + rng.below(20'000), [this] { chain(); });
+        }
+
+        void
+        sameTick(std::uint64_t left)
+        {
+            if (left > 0)
+                eq.scheduleAfter(0, [this, left] { sameTick(left - 1); });
+        }
+    };
+    auto storm = std::make_unique<Storm>();
+    const std::size_t before = heapInUse();
+    if (before == 0)
+        GTEST_SKIP() << "no heap statistics on this platform";
+    for (int c = 0; c < 512; ++c)
+        storm->eq.schedule(1 + storm->rng.below(20'000),
+                           [s = storm.get()] { s->chain(); });
+    storm->eq.run();
+    storm->sameTick(500'000);
+    storm->eq.run();
+    const std::size_t after = heapInUse();
+    const std::size_t grown = after > before ? after - before : 0;
+
+    EXPECT_GE(storm->eq.executed(), storm->budget + 500'000);
+    EXPECT_EQ(storm->eq.pending(), 0u);
+    const std::size_t peak = storm->eq.peakPending();
+    EXPECT_LT(peak, 2048u);
+    // A node (key, link, callback) is ~100 bytes: allow for vector
+    // doubling of the slab and of the run and overflow arrays, plus
+    // slack for allocator caches.
+    EXPECT_LE(grown, peak * 256 + (std::size_t(128) << 10))
+        << "peak " << peak << " pending";
 }
 
 } // namespace

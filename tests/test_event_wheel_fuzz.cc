@@ -13,7 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -163,6 +167,183 @@ TEST(EventWheelFuzz, SameTickSelfRescheduleStaysOrdered)
     EventQueue wheel;
     RefEventQueue heap;
     EXPECT_EQ(runOn(wheel), runOn(heap));
+}
+
+/** Counts its own destruction in deaths[id]. Held by unique_ptr, it
+ *  dies exactly when the one callback owning it is destroyed. */
+struct Tracked
+{
+    Tracked(std::vector<int> *d, std::uint64_t i) : deaths(d), id(i) {}
+    Tracked(const Tracked &) = delete;
+    ~Tracked() { ++(*deaths)[id]; }
+
+    std::vector<int> *deaths;
+    std::uint64_t id;
+};
+
+/**
+ * Like Driver, but the production queue's callbacks carry captures
+ * that are not trivially relocatable (std::unique_ptr, std::string)
+ * and, for one kind in three, pooled captures above the 64-byte
+ * inline buffer. Now and then an event schedules a burst that grows
+ * the node slab while it runs, then re-checks its own captures. The
+ * reference heap (std::function, copies only) gets plain captures;
+ * both consume the identical decision stream.
+ */
+template <class Q>
+struct CaptureDriver
+{
+    static constexpr bool kHeavy = std::is_same_v<Q, EventQueue>;
+
+    std::vector<int> *deaths;
+    Q eq;
+    Rng rng;
+    std::vector<std::pair<Tick, std::uint64_t>> log;
+    std::uint64_t nextId = 0;
+    std::uint64_t budget;
+    std::uint64_t burstSize = 32;
+    /** Bursts that raised peakPending(), i.e. grew the slab. */
+    int grownInside = 0;
+
+    CaptureDriver(std::vector<int> *d, std::uint64_t seed,
+                  std::uint64_t event_budget)
+        : deaths(d), rng(seed), budget(event_budget)
+    {
+    }
+
+    static std::string
+    text(std::uint64_t id)
+    {
+        return "event payload beyond the small-string buffer #" +
+               std::to_string(id);
+    }
+
+    void
+    spawn(Tick when)
+    {
+        const std::uint64_t id = nextId++;
+        if constexpr (!kHeavy) {
+            eq.schedule(when, [this, id] { fire(id); });
+        } else {
+            deaths->push_back(0);
+            auto t = std::make_unique<Tracked>(deaths, id);
+            // Each callback re-checks its captures after fire(), which
+            // may have grown the slab under it.
+            switch (id % 3) {
+            case 0: // inline: unique_ptr + std::string, 56 bytes
+                eq.schedule(when, [this, id, t = std::move(t),
+                                   s = text(id)] {
+                    fire(id);
+                    EXPECT_EQ(t->id, id);
+                    EXPECT_EQ(s, text(id));
+                });
+                break;
+            case 1: { // pooled: 80 more bytes of payload
+                std::array<std::uint64_t, 10> pad;
+                pad.fill(id * 7);
+                eq.schedule(when, [this, id, t = std::move(t), pad] {
+                    fire(id);
+                    EXPECT_EQ(t->id, id);
+                    EXPECT_EQ(pad[9], id * 7);
+                });
+                break;
+            }
+            default: { // pooled: std::string + payload
+                std::array<std::uint64_t, 6> pad;
+                pad.fill(id);
+                eq.schedule(when, [this, id, t = std::move(t), pad,
+                                   s = text(id)] {
+                    fire(id);
+                    EXPECT_EQ(t->id, id);
+                    EXPECT_EQ(s, text(id));
+                    EXPECT_EQ(pad[5], id);
+                });
+                break;
+            }
+            }
+        }
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        log.emplace_back(eq.now(), id);
+        std::uint64_t kids = rng.below(3);
+        const bool burst = rng.below(400) == 0;
+        if (burst) {
+            // A growing burst: each one outgrows the slab so far.
+            kids = burstSize;
+            burstSize += burstSize / 2;
+        }
+        std::size_t peakBefore = 0;
+        if constexpr (kHeavy)
+            peakBefore = eq.peakPending();
+        for (std::uint64_t k = 0; k < kids && budget > 0; ++k) {
+            --budget;
+            const std::uint64_t r = rng.below(100);
+            Tick delta;
+            if (r < 20)
+                delta = 0;
+            else if (r < 80)
+                delta = 1 + rng.below(500'000);
+            else
+                delta = 1 + rng.below(30'000'000);
+            spawn(eq.now() + delta);
+        }
+        if constexpr (kHeavy)
+            grownInside += burst && eq.peakPending() > peakBefore;
+    }
+
+    /** Run in limit-bounded phases with top-ups; leave events pending
+     *  so the queue's destructor must release them. */
+    void
+    go()
+    {
+        for (int i = 0; i < 64 && budget > 0; ++i) {
+            --budget;
+            spawn(rng.below(1'000'000));
+        }
+        for (int phase = 0; phase < 40; ++phase) {
+            eq.run(eq.now() + rng.below(4'000'000));
+            for (int j = 0; j < 8 && budget > 0; ++j) {
+                --budget;
+                spawn(eq.now() + rng.below(1'000'000));
+            }
+        }
+        // Still pending at destruction: run, wheel and overflow nodes.
+        for (int j = 0; j < 24; ++j)
+            spawn(eq.now() + rng.below(8'000'000));
+    }
+};
+
+TEST(EventWheelFuzz, NonTrivialAndPooledCapturesRunInOrderAndDieOnce)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        std::vector<int> deaths;
+        std::size_t pendingAtEnd = 0;
+        std::size_t peak = 0;
+        {
+            CaptureDriver<EventQueue> wheel(&deaths, seed, 30'000);
+            CaptureDriver<RefEventQueue> heap(nullptr, seed, 30'000);
+            wheel.go();
+            heap.go();
+            ASSERT_EQ(wheel.log, heap.log) << "seed " << seed;
+            EXPECT_EQ(wheel.eq.pending(), heap.eq.pending());
+            pendingAtEnd = wheel.eq.pending();
+            peak = wheel.eq.peakPending();
+            EXPECT_GT(wheel.grownInside, 0) << "no burst grew the slab";
+            // Dispatched callbacks are destroyed as they run.
+            std::size_t dead = 0;
+            for (int n : deaths)
+                dead += static_cast<std::size_t>(n);
+            EXPECT_EQ(dead, wheel.log.size());
+        }
+        // The queue's destructor released every pending callback.
+        EXPECT_GT(pendingAtEnd, 0u) << "seed " << seed;
+        EXPECT_GT(peak, 64u);
+        for (std::size_t id = 0; id < deaths.size(); ++id)
+            ASSERT_EQ(deaths[id], 1) << "seed " << seed << " id " << id;
+    }
 }
 
 } // namespace
