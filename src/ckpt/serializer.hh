@@ -10,6 +10,13 @@
  * so mismatched component ordering fails loudly instead of smearing
  * one component's bytes into the next.
  *
+ * Components checkpoint through same-signature members,
+ * `save(Serializer &) const` and `restore(Deserializer &)`, virtual on
+ * the polymorphic ones (generators, policies, MS$ architectures):
+ * save() serializes all mutable state, restore() overwrites a freshly
+ * constructed, identically configured instance, and restore(save())
+ * is bit-identical state.
+ *
  * Error handling: everything throws CkptError (never fatal()), so a
  * failed restore inside a sweep surfaces as one failed JobResult
  * instead of killing the whole process.
@@ -445,26 +452,6 @@ class Deserializer
     std::size_t size_;
     std::size_t pos_ = 0;
     std::vector<std::size_t> sectionEnd_;
-};
-
-/**
- * Interface for components whose state participates in checkpoints.
- *
- * Polymorphic simulator components (access generators, partitioning
- * policies, memory-side caches) implement this interface virtually;
- * concrete leaf components (caches, prefetchers, DRAM channels, the
- * ROB core) provide the same-signature member functions without the
- * vtable. The contract is identical for both: save() serializes all
- * mutable state, restore() overwrites the state of a freshly
- * constructed, identically configured instance, and restore(save())
- * is bit-identical state.
- */
-class Checkpointable
-{
-  public:
-    virtual ~Checkpointable() = default;
-    virtual void save(Serializer &s) const = 0;
-    virtual void restore(Deserializer &d) = 0;
 };
 
 /** FNV-1a 64-bit hash over a byte span (config/identity hashing). */

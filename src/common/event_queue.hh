@@ -40,8 +40,8 @@ namespace dapsim
 class EventQueue
 {
   public:
-    /** Inline small-buffer callback; no heap allocation for captures
-     *  up to kInlineCallbackBytes (pooled slots beyond that). */
+    /** Inline small-buffer callback; captures up to
+     *  kInlineCallbackBytes, never a heap allocation. */
     using Callback = InlineCallback;
 
     /** Sentinel returned by nextEventTick() when no event is pending.

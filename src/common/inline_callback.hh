@@ -3,101 +3,38 @@
  * Allocation-free callable for the simulation hot path.
  *
  * `InlineCallback` stores a move-only `void()` callable in a small
- * inline buffer (kInlineCallbackBytes, sized for the largest hot-path
- * capture: an L3 miss continuation of { this, addr, tick, Done }).
- * Unlike `std::function` it never heap-allocates for captures that
- * fit, and it accepts move-only captures (e.g. another InlineCallback
- * or a std::unique_ptr), which lets completion closures chain through
- * the memory hierarchy without copies.
+ * inline buffer (kInlineCallbackBytes). Unlike `std::function` it
+ * never heap-allocates, and it accepts move-only captures (e.g.
+ * another, smaller callback or a std::unique_ptr).
  *
- * Oversized captures (up to CallbackSlotPool::kSlotBytes) fall back to
- * a pooled heap slot: fixed-size chunks recycled through a per-thread
- * free list, so even the fallback is allocation-free in steady state.
- * Captures beyond the slot size are rejected at compile time — shrink
- * the capture (move shared state behind one pointer) instead.
+ * Captures must fit the buffer: a larger one is a compile error.
+ * State that has to outlive the call that made it (a queued request's
+ * completion, a read racing two DRAM responses) is parked in a
+ * `SlotPool` (common/slot_pool.hh) by its owner, and the closure
+ * captures `{this, slot, scalars}` instead (DESIGN.md §14).
  */
 
 #ifndef DAPSIM_COMMON_INLINE_CALLBACK_HH
 #define DAPSIM_COMMON_INLINE_CALLBACK_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace dapsim
 {
 
-namespace detail
-{
-
-/**
- * Recycling allocator for oversized callback captures. Slots are one
- * fixed size so the free list is a plain LIFO stack; each simulation
- * thread (sweep worker) has its own list, matching the one-thread-per-
- * System execution model. Slots return to the list on callback
- * destruction and are only released to the OS at thread exit.
- */
-class CallbackSlotPool
-{
-  public:
-    /** Hard capture-size ceiling for InlineCallback. */
-    static constexpr std::size_t kSlotBytes = 256;
-
-    static void *
-    alloc()
-    {
-        FreeList &fl = freeList();
-        if (!fl.slots.empty()) {
-            void *p = fl.slots.back();
-            fl.slots.pop_back();
-            return p;
-        }
-        return ::operator new(kSlotBytes,
-                              std::align_val_t(alignof(std::max_align_t)));
-    }
-
-    static void
-    release(void *p) noexcept
-    {
-        freeList().slots.push_back(p);
-    }
-
-  private:
-    struct FreeList
-    {
-        std::vector<void *> slots;
-
-        ~FreeList()
-        {
-            for (void *p : slots)
-                ::operator delete(
-                    p, std::align_val_t(alignof(std::max_align_t)));
-        }
-    };
-
-    static FreeList &
-    freeList()
-    {
-        thread_local FreeList fl;
-        return fl;
-    }
-};
-
-} // namespace detail
-
-/** Inline buffer size; covers every hot-path capture (see DESIGN.md
- *  §9). Larger captures use the pooled fallback transparently. */
+/** Inline buffer size; every simulator capture fits it (DESIGN.md
+ *  §9, §14). */
 constexpr std::size_t kInlineCallbackBytes = 64;
 
 /** Move-only `void()` callable with small-buffer optimisation. */
 template <std::size_t N>
 class BasicInlineCallback
 {
-    static_assert(N >= sizeof(void *), "buffer must hold a slot pointer");
-
   public:
     BasicInlineCallback() = default;
     BasicInlineCallback(std::nullptr_t) {}
@@ -177,8 +114,7 @@ class BasicInlineCallback
         void (*relocate)(void *src, void *dst) noexcept;
         void (*destroy)(void *buf) noexcept;
         /** Relocation is a plain buffer copy (trivially-copyable
-         *  inline capture, or pooled: the buffer holds a raw slot
-         *  pointer). Lets moveFrom() skip the indirect call — event
+         *  capture). Lets moveFrom() skip the indirect call — event
          *  entries move through wheel buckets on the hot path. */
         bool trivialRelocate;
         /** The destructor is a no-op; destroy() may be skipped. */
@@ -189,12 +125,6 @@ class BasicInlineCallback
         std::uint32_t size;
     };
 
-    template <class F>
-    static constexpr bool kFitsInline =
-        sizeof(F) <= N && alignof(F) <= alignof(std::max_align_t) &&
-        std::is_nothrow_move_constructible_v<F>;
-
-    // ---- inline storage ------------------------------------------
     template <class F>
     static F *
     inlinePtr(void *buf)
@@ -237,69 +167,20 @@ class BasicInlineCallback
                                     std::is_trivially_destructible_v<F>,
                                     sizeof(F)};
 
-    // ---- pooled storage ------------------------------------------
-    static void *
-    slotOf(void *buf) noexcept
-    {
-        void *slot;
-        std::memcpy(&slot, buf, sizeof(slot));
-        return slot;
-    }
-
-    template <class F>
-    static void
-    invokePooled(void *buf)
-    {
-        (*static_cast<F *>(slotOf(buf)))();
-    }
-
-    template <class F>
-    static void
-    relocatePooled(void *src, void *dst) noexcept
-    {
-        std::memcpy(dst, src, sizeof(void *));
-    }
-
-    template <class F>
-    static void
-    destroyPooled(void *buf) noexcept
-    {
-        F *f = static_cast<F *>(slotOf(buf));
-        f->~F();
-        detail::CallbackSlotPool::release(f);
-    }
-
-    template <class F>
-    static constexpr Ops kPooledOps{&invokePooled<F>,
-                                    &relocatePooled<F>,
-                                    &destroyPooled<F>,
-                                    /*trivialRelocate=*/true,
-                                    /*trivialDestroy=*/false,
-                                    sizeof(void *)};
-
     template <class D, class F>
     void
     construct(F &&f)
     {
-        static_assert(sizeof(D) <= detail::CallbackSlotPool::kSlotBytes,
-                      "callback capture exceeds the pooled-slot limit; "
-                      "move shared state behind one pointer");
+        static_assert(sizeof(D) <= N,
+                      "InlineCallback capture exceeds the inline buffer: "
+                      "park the state in a SlotPool "
+                      "(common/slot_pool.hh) and capture its index");
         static_assert(alignof(D) <= alignof(std::max_align_t),
                       "over-aligned callback captures are unsupported");
-        if constexpr (kFitsInline<D>) {
-            ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-            ops_ = &kInlineOps<D>;
-        } else {
-            void *slot = detail::CallbackSlotPool::alloc();
-            try {
-                ::new (slot) D(std::forward<F>(f));
-            } catch (...) {
-                detail::CallbackSlotPool::release(slot);
-                throw;
-            }
-            std::memcpy(buf_, &slot, sizeof(slot));
-            ops_ = &kPooledOps<D>;
-        }
+        static_assert(std::is_nothrow_move_constructible_v<D>,
+                      "callback captures must be nothrow-movable");
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        ops_ = &kInlineOps<D>;
     }
 
     void

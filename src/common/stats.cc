@@ -10,40 +10,9 @@ StatGroup::addCounter(const std::string &n, const Counter *c)
 }
 
 void
-StatGroup::addAverage(const std::string &n, const Average *a)
-{
-    averages_[n] = a;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[n, c] : counters_)
-        os << name_ << '.' << n << ' ' << c->value() << '\n';
-    for (const auto &[n, a] : averages_)
-        os << name_ << '.' << n << ' ' << a->mean() << '\n';
-}
-
-std::uint64_t
-StatGroup::counterValue(const std::string &n) const
-{
-    auto it = counters_.find(n);
-    return it == counters_.end() ? 0 : it->second->value();
-}
-
-double
-StatGroup::averageValue(const std::string &n) const
-{
-    auto it = averages_.find(n);
-    return it == averages_.end() ? 0.0 : it->second->mean();
-}
-
-void
 StatGroup::appendColumnNames(std::vector<std::string> &out) const
 {
     for (const auto &[n, c] : counters_)
-        out.push_back(name_ + '.' + n);
-    for (const auto &[n, a] : averages_)
         out.push_back(name_ + '.' + n);
 }
 
@@ -52,8 +21,6 @@ StatGroup::appendValues(std::vector<double> &out) const
 {
     for (const auto &kv : counters_)
         out.push_back(static_cast<double>(kv.second->value()));
-    for (const auto &kv : averages_)
-        out.push_back(kv.second->mean());
 }
 
 } // namespace dapsim

@@ -2,10 +2,11 @@
  * @file
  * Lightweight statistics package.
  *
- * Components register named counters/histograms into a StatGroup; the
- * runner dumps them as `group.name value` rows. The package is
- * intentionally simple: scalar counters, averages, and fixed-bucket
- * histograms cover everything the paper's evaluation reports.
+ * Components own their counters, averages and histograms; a StatGroup
+ * names a component's counters for the time-series sampler (see
+ * src/obs/). The package is intentionally simple: scalar counters,
+ * averages, and fixed-bucket histograms cover everything the paper's
+ * evaluation reports.
  */
 
 #ifndef DAPSIM_COMMON_STATS_HH
@@ -13,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -102,10 +102,10 @@ class Histogram
 };
 
 /**
- * Named collection of stats owned by a component.
+ * Named collection of counters owned by a component.
  *
- * The group stores pointers to stats that live inside the component, so
- * a StatGroup must not outlive its component.
+ * The group stores pointers to counters that live inside the
+ * component, so a StatGroup must not outlive its component.
  */
 class StatGroup
 {
@@ -113,23 +113,13 @@ class StatGroup
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     void addCounter(const std::string &n, const Counter *c);
-    void addAverage(const std::string &n, const Average *a);
-
-    /** Dump `group.name value` rows. */
-    void dump(std::ostream &os) const;
 
     const std::string &name() const { return name_; }
-
-    /** Look up a registered counter value by name (0 if absent). */
-    std::uint64_t counterValue(const std::string &n) const;
-
-    /** Look up a registered average mean by name (0 if absent). */
-    double averageValue(const std::string &n) const;
 
     /**
      * Columnar access for the time-series sampler (see src/obs/):
      * qualified `group.name` column labels and the matching values, in
-     * a stable (alphabetical, counters before averages) order.
+     * a stable (alphabetical) order.
      */
     void appendColumnNames(std::vector<std::string> &out) const;
     void appendValues(std::vector<double> &out) const;
@@ -137,7 +127,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Average *> averages_;
 };
 
 } // namespace dapsim

@@ -27,8 +27,7 @@ Channel::Channel(EventQueue &eq, const DramConfig &cfg, std::uint32_t index)
     readLowQ_.reserve(cfg_.requestQueueReserve);
     writeQ_.reserve(std::max<std::uint32_t>(cfg_.requestQueueReserve,
                                             cfg_.writeQueueHigh + 8));
-    cbSlots_.reserve(3 * cfg_.requestQueueReserve);
-    cbFree_.reserve(3 * cfg_.requestQueueReserve);
+    callbacks_.reserve(3 * cfg_.requestQueueReserve);
     if (cfg_.tREFI > 0) {
         // Stagger channels so refreshes don't align system-wide.
         const Tick first =
@@ -47,27 +46,6 @@ Channel::refreshTick()
                       EventQueue::Callback::of<&Channel::refreshTick>(this));
 }
 
-std::uint32_t
-Channel::putCb(EventQueue::Callback &&cb)
-{
-    if (!cbFree_.empty()) {
-        const std::uint32_t idx = cbFree_.back();
-        cbFree_.pop_back();
-        cbSlots_[idx] = std::move(cb);
-        return idx;
-    }
-    cbSlots_.push_back(std::move(cb));
-    return static_cast<std::uint32_t>(cbSlots_.size() - 1);
-}
-
-EventQueue::Callback
-Channel::takeCb(std::uint32_t idx)
-{
-    EventQueue::Callback cb = std::move(cbSlots_[idx]);
-    cbFree_.push_back(idx);
-    return cb;
-}
-
 void
 Channel::enqueue(ChannelRequest req)
 {
@@ -76,7 +54,7 @@ Channel::enqueue(ChannelRequest req)
     hot.enqueuedAt = eq_.now();
     hot.bank = req.bank;
     hot.extraDataClocks = req.extraDataClocks;
-    hot.cb = putCb(std::move(req.onComplete));
+    hot.cb = callbacks_.put(std::move(req.onComplete));
     if (req.isWrite)
         writeQ_.push_back(hot);
     else if (req.lowPriority)
@@ -239,7 +217,7 @@ Channel::issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite)
                                                req.enqueuedAt));
     }
 
-    EventQueue::Callback cb = takeCb(req.cb);
+    EventQueue::Callback cb = callbacks_.take(req.cb);
     if (cb) {
         const Tick doneAt = isWrite ? dataEnd : dataEnd + ioDelay;
         eq_.schedule(doneAt, std::move(cb));

@@ -21,6 +21,7 @@
 #include "ckpt/serializer.hh"
 #include "common/event_queue.hh"
 #include "common/ring_deque.hh"
+#include "common/slot_pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/bank.hh"
@@ -144,7 +145,7 @@ class Channel
      * the FR-FCFS scan and positional erases stream over 32-byte
      * PODs instead of striding across (and move-constructing)
      * callback-carrying ~112-byte ChannelRequests. @c cb indexes
-     * cbSlots_.
+     * callbacks_.
      */
     struct HotReq
     {
@@ -154,12 +155,6 @@ class Channel
         std::uint32_t extraDataClocks;
         std::uint32_t cb;
     };
-
-    /** Park @p cb in a free slot; returns its index. */
-    std::uint32_t putCb(EventQueue::Callback &&cb);
-
-    /** Move the callback out of slot @p idx and recycle the slot. */
-    EventQueue::Callback takeCb(std::uint32_t idx);
 
     /** Try to issue requests; reschedules itself as needed. */
     void kick();
@@ -211,9 +206,8 @@ class Channel
     RingDeque<HotReq> readDemandQ_;
     RingDeque<HotReq> readLowQ_;
     RingDeque<HotReq> writeQ_;
-    /** Parked completion callbacks + freelist (see HotReq::cb). */
-    std::vector<EventQueue::Callback> cbSlots_;
-    std::vector<std::uint32_t> cbFree_;
+    /** Parked completion callbacks (see HotReq::cb). */
+    SlotPool<EventQueue::Callback> callbacks_;
     std::vector<Bank> banks_;
 
     /** Future bus reservations [start, end), sorted by start tick. */

@@ -3,25 +3,6 @@
 namespace dapsim
 {
 
-/** Coordinates the TAD fetch with a predicted-miss early memory read. */
-struct AlloyReadState
-{
-    bool earlyRead = false; ///< memory read launched in parallel
-    bool memDone = false;
-    bool needMem = false;   ///< resolved to a miss (or IFRM)
-    bool completed = false;
-    MemSideCache::Done done;
-
-    void
-    complete()
-    {
-        if (!completed && done) {
-            completed = true;
-            done();
-        }
-    }
-};
-
 AlloyCache::AlloyCache(EventQueue &eq, DramSystem &main_memory,
                        PartitionPolicy &policy,
                        const AlloyCacheConfig &cfg)
@@ -126,36 +107,31 @@ AlloyCache::handleRead(Addr addr, Done done)
         return;
     }
 
-    auto st = std::make_shared<AlloyReadState>();
-    st->done = std::move(done);
+    const std::uint32_t slot = parkRead(std::move(done));
 
     // Predicted miss: start miss handling early.
     if (!predictHit(addr)) {
-        st->earlyRead = true;
         earlyMissReads.inc();
-        memAccess(addr, false, [st] {
-            st->memDone = true;
-            if (st->needMem)
-                st->complete();
-        });
+        speculate(slot, addr);
     }
 
     window_.aMs++; // TAD read
     array_.access(tadAddr(set), false,
-                  [this, addr, st] { resolveRead(addr, st); },
+                  [this, addr, slot] { resolveRead(addr, slot); },
                   cfg_.tadExtraClocks);
 }
 
 void
-AlloyCache::resolveRead(Addr addr, std::shared_ptr<AlloyReadState> st)
+AlloyCache::resolveRead(Addr addr, std::uint32_t slot)
 {
     const std::uint64_t set = setOf(addr);
     const std::uint64_t tag = tagOf(addr);
     Line *l = dir_.find(set, tag);
     const bool hit = l != nullptr;
+    const bool early = speculating(slot);
     policy_.noteReadOutcome(addr, hit);
     trainPredictor(addr, hit);
-    if (hit == !st->earlyRead)
+    if (hit == !early)
         predictorHits.inc();
     else
         predictorMisses.inc();
@@ -168,22 +144,19 @@ AlloyCache::resolveRead(Addr addr, std::shared_ptr<AlloyReadState> st)
             window_.cleanHits++;
         }
         dbc_.update(blockNumber(addr), l->dirty);
-        if (st->earlyRead)
+        if (early)
             wastedEarlyReads.inc(); // speculative memory read dropped
-        st->complete(); // data arrived with the TAD
+        finishRead(slot); // data arrived with the TAD
         return;
     }
 
     // Miss.
     readMisses.inc();
     window_.aMm++;
-    if (st->earlyRead) {
-        st->needMem = true;
-        if (st->memDone)
-            st->complete();
-    } else {
-        memAccess(addr, false, [st] { st->complete(); });
-    }
+    if (early)
+        serveFromFetch(slot);
+    else
+        memAccess(addr, false, takeRead(slot));
     fill(addr);
 }
 

@@ -38,14 +38,13 @@ EdramCache::handleRead(Addr addr, Done done)
     }
 
     // On-die SRAM tag lookup: pure latency, no array bandwidth.
+    const std::uint32_t slot = parkRead(std::move(done));
     eq_.scheduleAfter(cpuCyclesToTicks(cfg_.tagLookupCycles),
-                      [this, addr, done = std::move(done)]() mutable {
-                          resolveRead(addr, std::move(done));
-                      });
+                      [this, addr, slot] { resolveRead(addr, slot); });
 }
 
 void
-EdramCache::resolveRead(Addr addr, Done done)
+EdramCache::resolveRead(Addr addr, std::uint32_t slot)
 {
     const std::uint64_t sec = sectorNumber(addr);
     const std::uint64_t set = setOf(sec);
@@ -67,11 +66,11 @@ EdramCache::resolveRead(Addr addr, Done done)
             window_.cleanHits++;
             if (policy_.shouldForceReadMiss(addr)) {
                 forcedReadMisses.inc();
-                memAccess(addr, false, std::move(done));
+                memAccess(addr, false, takeRead(slot));
                 return;
             }
         }
-        readArray_.access(dataAddr(sec, blk), false, std::move(done));
+        readArray_.access(dataAddr(sec, blk), false, takeRead(slot));
         return;
     }
 
@@ -86,13 +85,11 @@ EdramCache::resolveRead(Addr addr, Done done)
     } else {
         fill = allocateSector(addr, sec, blk);
     }
-    memAccess(addr, false,
-               [this, sec, blk, fill, done = std::move(done)] {
-                   if (fill)
-                       writeArray_.access(dataAddr(sec, blk), true);
-                   if (done)
-                       done();
-               });
+    memAccess(addr, false, [this, sec, blk, fill, slot] {
+        if (fill)
+            writeArray_.access(dataAddr(sec, blk), true);
+        finishRead(slot);
+    });
 }
 
 bool

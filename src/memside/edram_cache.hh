@@ -113,8 +113,8 @@ class EdramCache final : public MemSideCache
 
     Addr dataAddr(std::uint64_t sec, std::uint32_t blk) const;
 
-    /** Resolve a read after the on-die tag lookup. */
-    void resolveRead(Addr addr, Done done);
+    /** Resolve parked read @p slot after the on-die tag lookup. */
+    void resolveRead(Addr addr, std::uint32_t slot);
 
     bool launchFill(std::uint64_t sec, std::uint32_t blk);
     bool allocateSector(Addr addr, std::uint64_t sec, std::uint32_t blk);

@@ -59,6 +59,59 @@ MemSideCache::memAccess(Addr addr, bool is_write, Done done,
     mm_.access(addr, is_write, std::move(done), 0, low_priority);
 }
 
+std::uint32_t
+MemSideCache::parkRead(Done done)
+{
+    return reads_.put(ParkedRead{std::move(done)});
+}
+
+void
+MemSideCache::speculate(std::uint32_t slot, Addr addr)
+{
+    reads_[slot].fetching = true;
+    memAccess(addr, false, [this, slot] { fetchReturned(slot); });
+}
+
+void
+MemSideCache::fetchReturned(std::uint32_t slot)
+{
+    ParkedRead &r = reads_[slot];
+    r.fetched = true;
+    if (r.fired)
+        reads_.release(slot);
+    else if (r.waiting)
+        finishRead(slot);
+    // Otherwise the lookup is unresolved or completes elsewhere.
+}
+
+void
+MemSideCache::serveFromFetch(std::uint32_t slot)
+{
+    if (reads_[slot].fetched)
+        finishRead(slot);
+    else
+        reads_[slot].waiting = true;
+}
+
+void
+MemSideCache::finishRead(std::uint32_t slot)
+{
+    ParkedRead &r = reads_[slot];
+    Done done = std::move(r.done);
+    if (r.fetching && !r.fetched)
+        r.fired = true; // fetchReturned() recycles the slot
+    else
+        reads_.release(slot);
+    if (done)
+        done();
+}
+
+MemSideCache::Done
+MemSideCache::takeRead(std::uint32_t slot)
+{
+    return reads_.take(slot).done;
+}
+
 void
 MemSideCache::saveBase(ckpt::Serializer &s) const
 {

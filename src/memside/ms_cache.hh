@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "common/event_queue.hh"
+#include "common/slot_pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/dram_system.hh"
@@ -187,6 +188,39 @@ class MemSideCache
     void memAccess(Addr addr, bool is_write, Done done = nullptr,
                    bool low_priority = false);
 
+    /**
+     * Parked reads. A read that waits on DRAM parks its Done here and
+     * its closures capture {this, slot}. The table owns the race SFRM
+     * (sectored) and the predicted-miss early read (Alloy) run between
+     * a speculative main-memory fetch and the lookup:
+     *  - a read's Done fires exactly once;
+     *  - it is moved out, and its slot released, before it is
+     *    invoked, because it may park new reads;
+     *  - a slot with a speculative fetch is recycled only after both
+     *    the Done has fired and the fetch has returned.
+     */
+    std::uint32_t parkRead(Done done);
+
+    /** Launch read @p slot's speculative main-memory fetch. */
+    void speculate(std::uint32_t slot, Addr addr);
+
+    /** Whether read @p slot launched a speculative fetch. */
+    bool speculating(std::uint32_t slot) const
+    {
+        return reads_[slot].fetching;
+    }
+
+    /** The lookup chose the fetch's data: fire read @p slot's Done
+     *  now if the fetch is back, else when it returns. */
+    void serveFromFetch(std::uint32_t slot);
+
+    /** Fire read @p slot's Done now (its data came from elsewhere). */
+    void finishRead(std::uint32_t slot);
+
+    /** Release read @p slot, which launched no fetch, and return its
+     *  Done for the access that completes it. */
+    Done takeRead(std::uint32_t slot);
+
     /** Demand counters being accumulated for the current window. */
     WindowCounters window_;
 
@@ -196,7 +230,21 @@ class MemSideCache
     RemoteMemory *remote_ = nullptr;
 
   private:
+    struct ParkedRead
+    {
+        Done done;
+        bool fetching = false; ///< a speculative fetch was launched
+        bool fetched = false;  ///< ...and has returned
+        bool waiting = false;  ///< the Done waits for the fetch
+        bool fired = false;    ///< the Done fired before the fetch
+    };
+
+    /** Completion of read @p slot's speculative fetch. */
+    void fetchReturned(std::uint32_t slot);
+
     void windowTick();
+
+    SlotPool<ParkedRead> reads_;
 
     bool windowsRunning_ = false;
     Cycle windowCycles_ = 0;

@@ -54,9 +54,8 @@ SectoredDramCache::issueMetaWrite(std::uint64_t set)
 }
 
 void
-SectoredDramCache::lookupTags(Addr addr, bool is_read,
-                              EventQueue::Callback next,
-                              const SfrmRef &sfrm)
+SectoredDramCache::lookupTags(Addr addr, EventQueue::Callback next,
+                              std::uint32_t read)
 {
     const std::uint64_t set = setOf(sectorNumber(addr));
     const TagCache::LookupResult tc = tagCache_.access(set);
@@ -71,16 +70,10 @@ SectoredDramCache::lookupTags(Addr addr, bool is_read,
 
     // Metadata must be fetched from the DRAM array.
     window_.aMs++;
-    if (is_read && sfrm && policy_.shouldSpeculateToMemory(addr)) {
+    if (read != kNoRead && policy_.shouldSpeculateToMemory(addr)) {
         // SFRM: launch the memory read in parallel with the tag fetch.
-        sfrm->active = true;
         speculativeReads.inc();
-        memAccess(addr, false, [sfrm] {
-            sfrm->memDone = true;
-            if (sfrm->missOrClean)
-                sfrm->complete();
-            // A dirty hit drops this response (bandwidth wasted).
-        });
+        speculate(read, addr);
     }
     array_.access(metaAddr(set), false, std::move(next));
 }
@@ -118,15 +111,13 @@ SectoredDramCache::handleRead(Addr addr, Done done)
         steerOverridden.inc();
     }
 
-    SfrmRef sfrm = SfrmRef::make();
-    sfrm->done = std::move(done);
-    lookupTags(addr, true,
-               [this, addr, sfrm] { resolveRead(addr, sfrm); },
-               sfrm);
+    const std::uint32_t slot = parkRead(std::move(done));
+    lookupTags(addr, [this, addr, slot] { resolveRead(addr, slot); },
+               slot);
 }
 
 void
-SectoredDramCache::resolveRead(Addr addr, const SfrmRef &sfrm)
+SectoredDramCache::resolveRead(Addr addr, std::uint32_t slot)
 {
     const std::uint64_t sec = sectorNumber(addr);
     const std::uint64_t set = setOf(sec);
@@ -148,31 +139,27 @@ SectoredDramCache::resolveRead(Addr addr, const SfrmRef &sfrm)
             window_.cleanHits++;
         }
 
-        if (sfrm->active) {
+        if (speculating(slot)) {
             if (clean) {
                 // SFRM already fetched the data from memory; use it.
-                sfrm->missOrClean = true;
-                if (sfrm->memDone)
-                    sfrm->complete();
+                serveFromFetch(slot);
                 return;
             }
             // Dirty hit: the memory response must be dropped and the
             // data read from the cache (wasted memory bandwidth).
-            sfrm->dirtyHit = true;
             speculativeWasted.inc();
             array_.access(dataAddr(sec, blk), false,
-                          [sfrm] { sfrm->complete(); });
+                          [this, slot] { finishRead(slot); });
             return;
         }
 
         if (clean && policy_.shouldForceReadMiss(addr)) {
             // IFRM: serve the clean hit from main memory.
             forcedReadMisses.inc();
-            memAccess(addr, false, [sfrm] { sfrm->complete(); });
+            memAccess(addr, false, takeRead(slot));
             return;
         }
-        array_.access(dataAddr(sec, blk), false,
-                      [sfrm] { sfrm->complete(); });
+        array_.access(dataAddr(sec, blk), false, takeRead(slot));
         return;
     }
 
@@ -190,18 +177,16 @@ SectoredDramCache::resolveRead(Addr addr, const SfrmRef &sfrm)
         fill = allocateSector(addr, sec, blk);
     }
 
-    if (sfrm->active) {
+    if (speculating(slot)) {
         // The SFRM read doubles as the demand fetch.
         if (fill)
             array_.access(dataAddr(sec, blk), true);
-        sfrm->missOrClean = true;
-        if (sfrm->memDone)
-            sfrm->complete();
+        serveFromFetch(slot);
     } else {
-        memAccess(addr, false, [this, sec, blk, fill, sfrm] {
+        memAccess(addr, false, [this, sec, blk, fill, slot] {
             if (fill)
                 array_.access(dataAddr(sec, blk), true);
-            sfrm->complete();
+            finishRead(slot);
         });
     }
 }
@@ -313,7 +298,7 @@ SectoredDramCache::handleWrite(Addr addr)
 
     // Writes are posted: tag lookup bandwidth is charged, but the
     // directory is updated immediately (metadata pipelining).
-    lookupTags(addr, false, [] {}, nullptr);
+    lookupTags(addr, [] {});
 
     SectorMeta *m = dir_.find(set, tag);
     if (m != nullptr) {

@@ -17,13 +17,9 @@
 #define DAPSIM_MEMSIDE_SECTORED_DRAM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <utility>
 
 #include "cache/assoc_cache.hh"
 #include "cache/sector.hh"
-#include "common/inline_callback.hh"
 #include "cache/tag_cache.hh"
 #include "dram/presets.hh"
 #include "memside/footprint_prefetcher.hh"
@@ -103,90 +99,6 @@ class SectoredDramCache final : public MemSideCache
     Counter steerOverridden; ///< steers cancelled because block dirty
 
   private:
-    /** Shared state coordinating an SFRM memory read with the tag
-     *  fetch (one per read in flight, see SfrmRef). */
-    struct SfrmState
-    {
-        bool active = false;      ///< SFRM read was launched
-        bool memDone = false;     ///< MM response arrived
-        bool missOrClean = false; ///< tag resolved to miss/clean hit
-        bool dirtyHit = false;    ///< tag resolved to dirty hit
-        bool completed = false;
-        /** Intrusive count; non-atomic — each System is single-
-         *  threaded, states never cross threads. Starts at 1 for the
-         *  SfrmRef make() returns. */
-        std::uint32_t refs = 1;
-        Done done; ///< CPU completion (fired exactly once)
-
-        void
-        complete()
-        {
-            if (!completed && done) {
-                completed = true;
-                done();
-            }
-        }
-    };
-
-    /**
-     * Refcounted handle to a pooled SfrmState. Replaces a per-read
-     * make_shared on the hot path: storage recycles through the
-     * thread-local CallbackSlotPool (which outlives every System on
-     * the thread, so handles parked in undispatched event-queue or
-     * channel callbacks destruct safely at teardown) and the count
-     * needs no atomic operations.
-     */
-    class SfrmRef
-    {
-      public:
-        SfrmRef() = default;
-        SfrmRef(std::nullptr_t) {}
-
-        /** Allocate a fresh state (refcount 1) from the slot pool. */
-        static SfrmRef
-        make()
-        {
-            static_assert(sizeof(SfrmState) <=
-                          detail::CallbackSlotPool::kSlotBytes);
-            return SfrmRef(::new (detail::CallbackSlotPool::alloc())
-                               SfrmState());
-        }
-
-        SfrmRef(const SfrmRef &o) noexcept : s_(o.s_)
-        {
-            if (s_ != nullptr)
-                ++s_->refs;
-        }
-
-        SfrmRef(SfrmRef &&o) noexcept : s_(o.s_) { o.s_ = nullptr; }
-
-        SfrmRef &
-        operator=(SfrmRef o) noexcept
-        {
-            std::swap(s_, o.s_);
-            return *this;
-        }
-
-        ~SfrmRef() { release(); }
-
-        SfrmState *operator->() const { return s_; }
-        explicit operator bool() const { return s_ != nullptr; }
-
-      private:
-        explicit SfrmRef(SfrmState *s) : s_(s) {}
-
-        void
-        release() noexcept
-        {
-            if (s_ != nullptr && --s_->refs == 0) {
-                s_->~SfrmState();
-                detail::CallbackSlotPool::release(s_);
-            }
-        }
-
-        SfrmState *s_ = nullptr;
-    };
-
     // Address helpers. Sector size and way count are powers of two in
     // every production geometry; the FastDivs make the per-access
     // sector/block split shifts rather than hardware divides.
@@ -215,9 +127,8 @@ class SectoredDramCache final : public MemSideCache
     /** DRAM-array address of a set's metadata block. */
     Addr metaAddr(std::uint64_t set) const;
 
-    /** Resolve a read once the tag state is known; completion flows
-     *  through the SfrmState (which exists for every read). */
-    void resolveRead(Addr addr, const SfrmRef &sfrm);
+    /** Resolve parked read @p slot once the tag state is known. */
+    void resolveRead(Addr addr, std::uint32_t slot);
 
     /** Allocate a sector, evicting a victim and fetching the predicted
      *  footprint. @return whether the demand block will be filled. */
@@ -233,9 +144,14 @@ class SectoredDramCache final : public MemSideCache
     /** Charge a metadata write-back CAS. */
     void issueMetaWrite(std::uint64_t set);
 
-    /** Run tag lookup; calls @p next once metadata is available. */
-    void lookupTags(Addr addr, bool is_read, EventQueue::Callback next,
-                    const SfrmRef &sfrm);
+    /** No parked read: a write's tag lookup never speculates. */
+    static constexpr std::uint32_t kNoRead = ~std::uint32_t(0);
+
+    /** Run tag lookup; calls @p next once metadata is available. On a
+     *  metadata fetch, parked read @p read may launch SFRM's memory
+     *  read. */
+    void lookupTags(Addr addr, EventQueue::Callback next,
+                    std::uint32_t read = kNoRead);
 
     /** Write back dirty blocks of a victim sector. */
     void writebackVictim(std::uint64_t set, std::uint64_t victim_tag,

@@ -68,48 +68,21 @@ L3Cache::access(Addr addr, bool is_write, Done done)
     readMisses.inc();
     install(addr, false);
     // The L3 lookup precedes the downstream access.
-    const std::uint32_t slot = putCont(addr, eq_.now(), std::move(done));
+    const std::uint32_t slot =
+        misses_.put(MissCont{addr, eq_.now(), std::move(done)});
     eq_.scheduleAfter(lookup, [this, slot] { lookupDone(slot); });
 }
 
 void
 L3Cache::lookupDone(std::uint32_t slot)
 {
-    // Re-index at invoke time: contSlots_ may have grown (and moved)
-    // since this event was scheduled.
-    const Addr addr = contSlots_[slot].addr;
-    ms_.handleRead(addr, [this, slot] {
-        MissCont &c = contSlots_[slot];
-        readMissLatency.sample(
-            static_cast<double>(eq_.now() - c.issued));
-        Done done = std::move(c.done);
+    ms_.handleRead(misses_[slot].addr, [this, slot] {
         // Recycle before completing: done() may issue new accesses.
-        freeCont(slot);
-        if (done)
-            done();
+        MissCont c = misses_.take(slot);
+        readMissLatency.sample(static_cast<double>(eq_.now() - c.issued));
+        if (c.done)
+            c.done();
     });
-}
-
-std::uint32_t
-L3Cache::putCont(Addr addr, Tick issued, Done &&done)
-{
-    if (!contFree_.empty()) {
-        const std::uint32_t idx = contFree_.back();
-        contFree_.pop_back();
-        MissCont &c = contSlots_[idx];
-        c.addr = addr;
-        c.issued = issued;
-        c.done = std::move(done);
-        return idx;
-    }
-    contSlots_.push_back(MissCont{addr, issued, std::move(done)});
-    return static_cast<std::uint32_t>(contSlots_.size() - 1);
-}
-
-void
-L3Cache::freeCont(std::uint32_t idx)
-{
-    contFree_.push_back(idx);
 }
 
 void

@@ -18,6 +18,7 @@
 
 #include "cache/assoc_cache.hh"
 #include "common/event_queue.hh"
+#include "common/slot_pool.hh"
 #include "common/stats.hh"
 #include "memside/ms_cache.hh"
 
@@ -150,8 +151,7 @@ class L3Cache
     /**
      * In-flight read-miss continuation, parked by index: the lookup
      * and completion closures capture {this, slot} (16 bytes, inline)
-     * instead of carrying the 80-byte Done through two pooled-slot
-     * callbacks per miss.
+     * instead of the 80-byte Done.
      */
     struct MissCont
     {
@@ -160,9 +160,6 @@ class L3Cache
         Done done;
     };
 
-    std::uint32_t putCont(Addr addr, Tick issued, Done &&done);
-    void freeCont(std::uint32_t idx);
-
     /** Body of the post-lookup event for miss continuation @p slot. */
     void lookupDone(std::uint32_t slot);
 
@@ -170,9 +167,8 @@ class L3Cache
     L3Config cfg_;
     MemSideCache &ms_;
     AssocCache<Line> dir_;
-    /** Parked read-miss continuations + freelist (see MissCont). */
-    std::vector<MissCont> contSlots_;
-    std::vector<std::uint32_t> contFree_;
+    /** Parked read-miss continuations (see MissCont). */
+    SlotPool<MissCont> misses_;
 };
 
 } // namespace dapsim

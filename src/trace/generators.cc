@@ -81,14 +81,6 @@ SyntheticGenerator::draw(std::uint64_t &gap)
 template WarmAccess SyntheticGenerator::draw<true>(std::uint64_t &);
 template WarmAccess SyntheticGenerator::draw<false>(std::uint64_t &);
 
-StreamKernelGenerator::StreamKernelGenerator(std::uint64_t footprint_bytes,
-                                             std::uint64_t gap, Addr base)
-    : footprint_(footprint_bytes / kBlockBytes), gap_(gap), base_(base)
-{
-    if (footprint_ == 0)
-        fatal("StreamKernelGenerator: footprint too small");
-}
-
 void
 SyntheticGenerator::save(ckpt::Serializer &s) const
 {
@@ -105,16 +97,6 @@ SyntheticGenerator::restore(ckpt::Deserializer &d)
     streamPtr_ = d.cursor(blocks_, "stream pointer");
     runPtr_ = d.cursor(blocks_, "run pointer");
     runLeft_ = d.u32();
-}
-
-bool
-StreamKernelGenerator::next(TraceRequest &out)
-{
-    out.addr = base_ + ptr_ * kBlockBytes;
-    ptr_ = (ptr_ + 1) % footprint_;
-    out.isWrite = false;
-    out.instrGap = gap_;
-    return true;
 }
 
 } // namespace dapsim

@@ -7,6 +7,7 @@
 
 #include <queue>
 
+#include "common/slot_pool.hh"
 #include "cpu/rob_core.hh"
 
 namespace dapsim
@@ -115,6 +116,8 @@ TEST(RobCore, MshrBoundLimitsOutstanding)
     cfg.instructions = 500;
     cfg.maxOutstanding = 2;
     int outstanding = 0, max_outstanding = 0, issued = 0;
+    // Reads in flight park their Done, as the memory hierarchy does.
+    SlotPool<EventQueue::Callback> parked;
     RobCore core(
         eq, cfg, 0,
         [&](TraceRequest &out) {
@@ -124,9 +127,10 @@ TEST(RobCore, MshrBoundLimitsOutstanding)
         [&](Addr, bool, EventQueue::Callback done) {
             ++outstanding;
             max_outstanding = std::max(max_outstanding, outstanding);
-            eq.scheduleAfter(1000, [&outstanding, done = std::move(done)] {
+            const std::uint32_t slot = parked.put(std::move(done));
+            eq.scheduleAfter(1000, [&outstanding, &parked, slot] {
                 --outstanding;
-                done();
+                parked.take(slot)();
             });
         });
     core.start();

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/stats.hh"
 
 namespace dapsim
@@ -65,35 +63,6 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_EQ(h.buckets()[5], 1u);
     EXPECT_EQ(h.buckets()[9], 2u);
     EXPECT_NEAR(h.mean(), (0.5 + 5.5 + 9.99 + 25.0) / 4, 1e-9);
-}
-
-TEST(StatGroup, DumpsNamedRows)
-{
-    Counter c;
-    c.inc(7);
-    Average a;
-    a.sample(2.0);
-    StatGroup g("mem");
-    g.addCounter("reads", &c);
-    g.addAverage("latency", &a);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_EQ(os.str(), "mem.reads 7\nmem.latency 2\n");
-}
-
-TEST(StatGroup, LookupByName)
-{
-    Counter c;
-    c.inc(3);
-    Average a;
-    a.sample(1.5);
-    StatGroup g("x");
-    g.addCounter("c", &c);
-    g.addAverage("a", &a);
-    EXPECT_EQ(g.counterValue("c"), 3u);
-    EXPECT_NEAR(g.averageValue("a"), 1.5, 1e-12);
-    EXPECT_EQ(g.counterValue("missing"), 0u);
-    EXPECT_EQ(g.averageValue("missing"), 0.0);
 }
 
 } // namespace

@@ -168,15 +168,31 @@ TEST(SystemIntegration, HarvestReportsTagCacheMissRatio)
 
 TEST(SystemIntegration, MaxTicksBoundsRunaways)
 {
-    SystemConfig cfg = smallSectored();
-    cfg.core.instructions = ~0ull >> 1; // can never finish
-    std::vector<AccessGeneratorPtr> gens;
-    for (std::uint32_t i = 0; i < cfg.numCores; ++i)
-        gens.push_back(makeGenerator(workloadByName("hpcg"), i));
-    System sys(cfg, std::move(gens));
-    sys.run(1'000'000); // 1 us cap
-    EXPECT_LE(sys.eventQueue().now(), 1'100'000u);
-    EXPECT_FALSE(sys.allCoresFinished());
+    // Each System is destroyed mid-run, with reads still parked in
+    // the L3, the MS$ and the DRAM queues and their events pending:
+    // the sanitizer job checks that teardown.
+    for (MsArch arch : {MsArch::Sectored, MsArch::Alloy, MsArch::Edram}) {
+        for (PolicyKind pol : {PolicyKind::Baseline, PolicyKind::Dap}) {
+            SystemConfig cfg = smallSectored();
+            cfg.arch = arch;
+            cfg.alloy.capacityBytes = 8 * kMiB;
+            cfg.edram.capacityBytes = 4 * kMiB;
+            cfg.policy = pol;
+            cfg.core.instructions = ~0ull >> 1; // can never finish
+            std::vector<AccessGeneratorPtr> gens;
+            for (std::uint32_t i = 0; i < cfg.numCores; ++i)
+                gens.push_back(makeGenerator(workloadByName("hpcg"), i));
+            SCOPED_TRACE(::testing::Message()
+                         << "arch=" << static_cast<int>(arch)
+                         << " policy=" << static_cast<int>(pol));
+            System sys(cfg, std::move(gens));
+            sys.run(1'000'000); // 1 us cap
+            EXPECT_LE(sys.eventQueue().now(), 1'100'000u);
+            EXPECT_FALSE(sys.allCoresFinished());
+            EXPECT_GT(sys.eventQueue().pending(), 0u);
+            EXPECT_GT(sys.l3().readMisses.value(), 0u);
+        }
+    }
 }
 
 TEST(SystemIntegrationDeathTest, GeneratorCountMustMatchCores)

@@ -152,14 +152,10 @@ TEST(WarmDraw, MixTenantsMatchNext)
     }
 }
 
-/** These two take AccessGenerator's default drawWarm (a next()
- *  loop). */
-TEST(WarmDraw, StreamKernelAndTraceFileMatchNext)
+/** The trace file takes AccessGenerator's default drawWarm (a
+ *  next() loop). */
+TEST(WarmDraw, TraceFileMatchesNext)
 {
-    StreamKernelGenerator sk_timed(64 * kKiB, 5, 1ULL << 40);
-    StreamKernelGenerator sk_warm(64 * kKiB, 5, 1ULL << 40);
-    expectWarmDrawMatches(sk_timed, sk_warm, 5'000, "stream kernel");
-
     std::vector<TraceRequest> recs;
     for (std::uint64_t i = 0; i < 37; ++i)
         recs.push_back({0x1000 + i * 0x40 + (i % 3), i % 4 == 0, i + 1});

@@ -374,9 +374,8 @@ struct Cursor
 struct RestoreCase
 {
     const char *name;
+    /** Its state starts with the two xorshift128+ words. */
     std::function<AccessGeneratorPtr()> make;
-    /** The state starts with the two xorshift128+ words. */
-    bool rng;
     std::vector<Cursor> cursors;
 };
 
@@ -410,18 +409,15 @@ TEST(GeneratorRestore, RefusesOutOfRangeCursorsAndZeroRngState)
     // wburst: a cycle is 64 writes + 64 * (1 - 0.5) / 0.5 reads.
     const std::vector<RestoreCase> cases = {
         {"synthetic",
-         [&] { return std::make_unique<SyntheticGenerator>(sp); }, true,
+         [&] { return std::make_unique<SyntheticGenerator>(sp); },
          {{16, kBlocks}, {24, kBlocks}}},
-        {"stream",
-         [] { return std::make_unique<StreamKernelGenerator>(kMiB, 1, 0); },
-         false, {{0, kBlocks}}},
-        {"zipf", spec("zipf:fp=1M"), true, {{24, kBlocks}}},
-        {"hotspot", spec("hotspot:fp=1M"), true, {{24, kBlocks}}},
-        {"flood", spec("flood:fp=1M"), true, {{16, kBlocks}}},
-        {"sparse", spec("sparse:fp=1M,stride=8"), true, {{16, kBlocks}}},
-        {"wburst", spec("wburst:fp=1M,burst=64,duty=0.5"), true,
+        {"zipf", spec("zipf:fp=1M"), {{24, kBlocks}}},
+        {"hotspot", spec("hotspot:fp=1M"), {{24, kBlocks}}},
+        {"flood", spec("flood:fp=1M"), {{16, kBlocks}}},
+        {"sparse", spec("sparse:fp=1M,stride=8"), {{16, kBlocks}}},
+        {"wburst", spec("wburst:fp=1M,burst=64,duty=0.5"),
          {{16, 128}, {24, kBlocks}}},
-        {"chase", spec("chase:fp=1M"), true, {}},
+        {"chase", spec("chase:fp=1M"), {}},
     };
     for (const RestoreCase &c : cases) {
         auto g = c.make();
@@ -450,12 +446,10 @@ TEST(GeneratorRestore, RefusesOutOfRangeCursorsAndZeroRngState)
             EXPECT_THROW(restoreFresh(c, b), ckpt::CkptError)
                 << c.name << " @" << k.offset;
         }
-        if (c.rng) {
-            std::vector<std::uint8_t> b = saved;
-            putU64(b, 0, 0);
-            putU64(b, 8, 0);
-            EXPECT_THROW(restoreFresh(c, b), ckpt::CkptError) << c.name;
-        }
+        std::vector<std::uint8_t> b = saved;
+        putU64(b, 0, 0);
+        putU64(b, 8, 0);
+        EXPECT_THROW(restoreFresh(c, b), ckpt::CkptError) << c.name;
     }
 }
 
