@@ -2,19 +2,15 @@
  * @file
  * Lightweight statistics package.
  *
- * Components own their counters, averages and histograms; a StatGroup
- * names a component's counters for the time-series sampler (see
- * src/obs/). The package is intentionally simple: scalar counters,
- * averages, and fixed-bucket histograms cover everything the paper's
- * evaluation reports.
+ * Components own their counters, averages and histograms. The package
+ * is intentionally simple: scalar counters, averages, and fixed-bucket
+ * histograms cover everything the paper's evaluation reports.
  */
 
 #ifndef DAPSIM_COMMON_STATS_HH
 #define DAPSIM_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace dapsim
@@ -99,34 +95,6 @@ class Histogram
     std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * Named collection of counters owned by a component.
- *
- * The group stores pointers to counters that live inside the
- * component, so a StatGroup must not outlive its component.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void addCounter(const std::string &n, const Counter *c);
-
-    const std::string &name() const { return name_; }
-
-    /**
-     * Columnar access for the time-series sampler (see src/obs/):
-     * qualified `group.name` column labels and the matching values, in
-     * a stable (alphabetical) order.
-     */
-    void appendColumnNames(std::vector<std::string> &out) const;
-    void appendValues(std::vector<double> &out) const;
-
-  private:
-    std::string name_;
-    std::map<std::string, const Counter *> counters_;
 };
 
 } // namespace dapsim

@@ -141,44 +141,4 @@ AnalyticEngine::fastForward(std::uint64_t instr)
     return out;
 }
 
-void
-AnalyticEngine::save(ckpt::Serializer &s) const
-{
-    s.boolean(ready_);
-    s.f64(ipcDet_);
-    s.f64(msR_);
-    s.f64(msW_);
-    s.f64(mmR_);
-    s.f64(mmW_);
-    s.f64(remR_);
-    s.f64(remW_);
-    s.f64(remCycles_);
-    s.f64(remMsR_);
-    s.f64(remMsW_);
-    s.f64(remMmR_);
-    s.f64(remMmW_);
-    s.f64(remRemR_);
-    s.f64(remRemW_);
-}
-
-void
-AnalyticEngine::restore(ckpt::Deserializer &d)
-{
-    ready_ = d.boolean();
-    ipcDet_ = d.f64();
-    msR_ = d.f64();
-    msW_ = d.f64();
-    mmR_ = d.f64();
-    mmW_ = d.f64();
-    remR_ = d.f64();
-    remW_ = d.f64();
-    remCycles_ = d.f64();
-    remMsR_ = d.f64();
-    remMsW_ = d.f64();
-    remMmR_ = d.f64();
-    remMmW_ = d.f64();
-    remRemR_ = d.f64();
-    remRemW_ = d.f64();
-}
-
 } // namespace dapsim::fastfwd

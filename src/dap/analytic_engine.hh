@@ -11,24 +11,22 @@
  * delivered-bandwidth model answers the mix-shift questions (DAP
  * credit warm-up windows, the analytic fidelity mode). Fractional cycle/access
  * remainders carry across fast-forward chunks so interval boundaries
- * never lose time, and the full engine state serializes through the
- * ckpt layer so a run interrupted mid-fast-forward resumes
- * byte-identically.
+ * never lose time.
  *
  * Guarantees (property-tested in tests/test_fidelity.cc):
  *  - predicted delivered bandwidth never exceeds efficiency x sum(B_i)
  *  - predicted IPC is monotone non-increasing in offered load
  *  - with the remote source off and loads at the optimal split, the
  *    prediction degenerates to the 2-source Eq 4 answer
- *  - save/restore mid-fast-forward is byte-identical to uninterrupted
+ *
+ * The engine is never checkpointed: System::save() runs only at tick
+ * 0, before any fast-forward.
  */
 
 #ifndef DAPSIM_DAP_ANALYTIC_ENGINE_HH
 #define DAPSIM_DAP_ANALYTIC_ENGINE_HH
 
 #include <cstdint>
-
-#include "ckpt/serializer.hh"
 
 namespace dapsim::fastfwd
 {
@@ -103,15 +101,10 @@ class AnalyticEngine
     double remotePerInstr() const { return remR_ + remW_; }
     double detailedIpc() const { return ipcDet_; }
 
-    /** Serialize the complete engine state (dapsim.ckpt.v1 section
-     *  discipline: fixed field order, doubles as bit patterns). */
-    void save(ckpt::Serializer &s) const;
-    void restore(ckpt::Deserializer &d);
-
   private:
     double ewma(double prev, double next) const;
 
-    // Configuration (not serialized: reconstructed from the run config).
+    // Configuration.
     double bMs_, bMm_, bRem_, eff_, alpha_;
 
     // Smoothed measurements.

@@ -93,11 +93,14 @@ SweepRunner::claim(Claim &c)
     if (c.group != nullptr) {
         ForkGroup &g = *c.group;
         --g.unclaimed;
-        if (warm) {
+        if (warm && g.unclaimed == 0 && ckptDir_.empty()) {
+            // A lone job shares its warm-up with no one: it runs
+            // unforked, claimed where its group's warm-up would start.
+            c.warm = false;
+        } else if (warm) {
             g.warm = ForkGroup::Warm::Running;
         } else if (g.unclaimed == 0) {
             c.ckpt = std::exchange(g.ckpt, {});
-            c.lastOfGroup = true;
         } else {
             c.ckpt = g.ckpt;
         }
@@ -110,7 +113,7 @@ SweepRunner::warmUp(Claim &c)
 {
     ForkGroup &g = *c.group;
     const double start = phaseTracePath_.empty() ? 0.0 : nowUs();
-    WarmupCache::Result res = warmupCache_->ensure(specs_[c.index]);
+    WarmupCache::Result res = WarmupCache(ckptDir_).ensure(specs_[c.index]);
     // The span ends before the group's other jobs can be claimed.
     recordSpan("warmup " + hashHex(g.stateHash), "warmup", start,
                phaseTracePath_.empty() ? 0.0 : nowUs());
@@ -120,8 +123,6 @@ SweepRunner::warmUp(Claim &c)
         g.warm = ForkGroup::Warm::Done;
         if (g.unclaimed != 0)
             g.ckpt = res.ckpt;
-        else
-            c.lastOfGroup = true;
     }
     warmDone_.notify_all();
     c.ckpt = std::move(res.ckpt);
@@ -134,11 +135,6 @@ SweepRunner::execute(Claim c)
     const double start = phaseTracePath_.empty() ? 0.0 : nowUs();
     if (c.warm)
         warmUp(c);
-    // With the group's last job claimed, only this job and its
-    // in-flight siblings still need the checkpoint: drop the cache's
-    // reference, so the bytes go when the last of them has restored.
-    if (c.lastOfGroup)
-        warmupCache_->release(c.group->stateHash);
     JobResult r = runJob(specs_[i], i, std::move(c.ckpt));
     recordSpan(specs_[i].displayLabel(), r.ok ? "job" : "failed",
                start, nowUs());
@@ -272,8 +268,6 @@ SweepRunner::run(std::size_t threads)
     phaseSpans_.clear();
     workerIds_.clear();
     buildForkGroups();
-    if (warmupFork_)
-        warmupCache_ = std::make_unique<WarmupCache>(ckptDir_);
 
     for (ResultSink *sink : sinks_)
         sink->begin(n);

@@ -22,7 +22,6 @@
 #include <condition_variable>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -65,9 +64,10 @@ class SweepRunner
      * the group from the in-memory checkpoint with its own policy and
      * fresh statistics. Results are bit-identical to a non-forked
      * sweep because the warm state never depends on the policy.
-     * Workers overlap the warm-ups of different groups and each
-     * in-memory checkpoint is freed once its group's last job has
-     * restored (see run()).
+     * Workers overlap the warm-ups of different groups, and the group
+     * is the checkpoint's only in-process owner: it is freed once the
+     * group's last job has restored (see run()). A runner that is
+     * never switched on runs every job unforked.
      *
      * With a non-empty @p ckpt_dir the per-group checkpoints are also
      * kept on disk as `warmup-<statehash>.ckpt` and reused by later
@@ -76,7 +76,9 @@ class SweepRunner
      * with atomic renames and creation is guarded by a lock file, so
      * any number of concurrent sweeps (or expd workers) sharing the
      * directory simulate each warmup exactly once. Custom jobs and
-     * jobs that would fail validation run unforked.
+     * jobs that would fail validation run unforked, and so does a
+     * group of one job when there is no @p ckpt_dir: forking it would
+     * only add a capture and a restore.
      */
     void
     setWarmupFork(bool on, std::string ckpt_dir = "")
@@ -109,7 +111,8 @@ class SweepRunner
      * Scheduling: a free worker claims the lowest-index ready job — one
      * that is unforked or whose group checkpoint exists. When none is
      * ready it claims the first job of the next group whose warm-up has
-     * not started and runs that warm-up inside the job. A worker waits
+     * not started and runs that warm-up inside the job (a lone job
+     * without a checkpoint directory runs unforked). A worker waits
      * only when every unclaimed job belongs to a group whose warm-up
      * is running. At most @p threads checkpoints are live at once.
      */
@@ -139,8 +142,6 @@ class SweepRunner
         bool warm = false;
         /** The group checkpoint the job forks from (empty: unforked). */
         ckpt::CheckpointView ckpt;
-        /** The group's last job: no one else will take the checkpoint. */
-        bool lastOfGroup = false;
     };
 
     /** Deliver any contiguous completed prefix to the sinks. A sink
@@ -197,7 +198,6 @@ class SweepRunner
     bool warmupFork_ = false;
     std::string ckptDir_;
     std::uint64_t warmupsExecuted_ = 0;
-    std::unique_ptr<WarmupCache> warmupCache_;
     std::map<std::uint64_t, ForkGroup> groups_;
     std::vector<ForkGroup *> jobGroup_;
 

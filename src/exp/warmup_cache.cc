@@ -23,7 +23,7 @@ WarmupCache::checkpointPath(std::uint64_t state_hash) const
 }
 
 WarmupCache::Result
-WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash)
+WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash) const
 {
     Result out;
     // The heap checkpoint this call simulated (kept so the acquired
@@ -32,6 +32,9 @@ WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash)
     auto simulate = [&]() {
         SystemConfig cfg = spec.cfg;
         cfg.policy = spec.policy;
+        // The warm-up is the group's, not this job's: it writes none of
+        // the job's observability files (obs is outside the state hash).
+        cfg.obs = {};
         simulated = std::make_shared<const ckpt::Checkpoint>(
             ckpt::makeWarmupCheckpoint(cfg, spec.mix, spec.instr,
                                        spec.seedSalt));
@@ -120,53 +123,17 @@ WarmupCache::prepare(const JobSpec &spec, std::uint64_t state_hash)
 }
 
 WarmupCache::Result
-WarmupCache::ensure(const JobSpec &spec)
+WarmupCache::ensure(const JobSpec &spec) const
 {
-    const std::uint64_t key = warmupStateHash(spec);
-    std::shared_ptr<Group> group;
-    {
-        std::lock_guard lock(mapMutex_);
-        auto &slot = groups_[key];
-        if (!slot)
-            slot = std::make_shared<Group>();
-        group = slot;
-    }
-
-    std::lock_guard glock(group->mutex);
-    if (group->done) {
-        Result repeat = group->result;
-        repeat.executed = false; // only the preparing call reports it
-        repeat.reused = false;
-        return repeat;
-    }
     try {
-        group->result = prepare(spec, key);
+        return prepare(spec, warmupStateHash(spec));
     } catch (const std::exception &e) {
         std::fprintf(stderr,
                      "warmup-cache: shared warmup failed (%s); group "
                      "runs unforked\n",
                      e.what());
-        group->result = Result{}; // null ckpt: callers run unforked
+        return {}; // null ckpt: callers run unforked
     }
-    group->done = true;
-    {
-        std::lock_guard lock(mapMutex_);
-        executed_ += group->result.executed ? 1 : 0;
-        reused_ += group->result.reused ? 1 : 0;
-    }
-    return group->result;
-}
-
-void
-WarmupCache::release(std::uint64_t state_hash)
-{
-    std::shared_ptr<Group> dropped; // freed outside the map lock
-    std::lock_guard lock(mapMutex_);
-    const auto it = groups_.find(state_hash);
-    if (it == groups_.end())
-        return;
-    dropped = std::move(it->second);
-    groups_.erase(it);
 }
 
 } // namespace dapsim::exp

@@ -10,8 +10,6 @@
  * fig benches with --store — can point at one directory and each
  * distinct warmup is simulated exactly once fleet-wide:
  *
- *  - in-process: one mutex/condvar gate per group; concurrent ensure()
- *    calls for one group block behind the first.
  *  - cross-process: a `.lock` file created with O_CREAT|O_EXCL elects
  *    the single creator; everyone else polls for the checkpoint to
  *    appear. Checkpoints are published by temp-file + fsync + atomic
@@ -23,17 +21,16 @@
  *    missing checkpoint, because warmups are deterministic and
  *    publication is atomic.
  *
- * With an empty directory the cache degrades to in-process dedup only.
+ * The cache keeps no state: the code that runs a group holds the view
+ * ensure() returns for as long as the group needs it (SweepRunner's
+ * fork group, the expd worker's current group). With an empty
+ * directory every ensure() simulates.
  */
 
 #ifndef DAPSIM_EXP_WARMUP_CACHE_HH
 #define DAPSIM_EXP_WARMUP_CACHE_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "exp/job.hh"
@@ -41,12 +38,12 @@
 namespace dapsim::exp
 {
 
-/** Load-or-create cache of shared warmup checkpoints. */
+/** Load-or-create protocol for shared warmup checkpoints. */
 class WarmupCache
 {
   public:
-    /** @p dir empty = in-process only. @p lock_ttl_sec bounds how long
-     *  a dead foreign creator can stall a group. */
+    /** @p dir empty = simulate on every call. @p lock_ttl_sec bounds
+     *  how long a dead foreign creator can stall a group. */
     explicit WarmupCache(std::string dir, double lock_ttl_sec = 300.0);
 
     struct Result
@@ -65,45 +62,23 @@ class WarmupCache
 
     /**
      * Return the group checkpoint for @p spec (which must be
-     * warmupForkable()), simulating and publishing it if this caller
-     * wins the create-once election. Thread-safe; concurrent calls for
-     * one group yield one execution.
+     * warmupForkable()): load it from the directory, or simulate it
+     * and, if this caller wins the create-once election, publish it.
+     * A failed warm-up yields an empty view. Thread-safe; it keeps
+     * nothing, so each call for a group without a directory simulates
+     * again.
      */
-    Result ensure(const JobSpec &spec);
-
-    /**
-     * Drop this cache's in-memory copy of group @p state_hash (views
-     * already handed out stay valid). For callers that know the group
-     * has no more jobs; a later ensure() prepares it afresh.
-     */
-    void release(std::uint64_t state_hash);
-
-    /** Warmups simulated by this cache instance. */
-    std::uint64_t executed() const { return executed_; }
-
-    /** Warmups satisfied from disk (made by another process/run). */
-    std::uint64_t reused() const { return reused_; }
+    Result ensure(const JobSpec &spec) const;
 
     /** `DIR/warmup-<16 hex>.ckpt` (for tests and tooling). */
     std::string checkpointPath(std::uint64_t state_hash) const;
 
   private:
-    struct Group
-    {
-        std::mutex mutex;
-        bool done = false;
-        Result result;
-    };
-
     /** The cross-process load-or-create protocol for one group. */
-    Result prepare(const JobSpec &spec, std::uint64_t state_hash);
+    Result prepare(const JobSpec &spec, std::uint64_t state_hash) const;
 
     std::string dir_;
     double lockTtlSec_;
-    std::mutex mapMutex_;
-    std::map<std::uint64_t, std::shared_ptr<Group>> groups_;
-    std::uint64_t executed_ = 0;
-    std::uint64_t reused_ = 0;
 };
 
 } // namespace dapsim::exp

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <thread>
 
 #include <unistd.h>
@@ -33,7 +32,7 @@ runWorker(const WorkerOptions &opt)
         opt.workerId.empty() ? std::string("w") + std::to_string(::getpid())
                              : opt.workerId;
     const Replay before = store.replay();
-    exp::WarmupCache warmups(store.ckptDir(), opt.leaseTtlSec);
+    const exp::WarmupCache warmups(store.ckptDir(), opt.leaseTtlSec);
     fsio::AppendFile events(store.eventsPath(worker_id));
 
     // Heartbeat thread: keeps the currently-held lease fresh so slow
@@ -59,22 +58,29 @@ runWorker(const WorkerOptions &opt)
     });
 
     WorkerStats stats;
+    // The checkpoint of the group this worker is running. A grid lists
+    // a group's jobs next to each other, so it is dropped when a job of
+    // another group starts, before that group's is prepared.
+    std::string ckpt_group;
+    ckpt::CheckpointView group_ckpt;
     // Run job @p i, whose lease this worker holds, and record it.
     auto runLeased = [&](std::size_t i, const ExpandedJob &job) {
         events.append(startRecord(i, worker_id));
-        exp::WarmupCache::Result shared;
-        if (!job.group.empty()) {
-            shared = warmups.ensure(job.spec);
-            if (shared.executed || shared.reused) {
-                events.append(warmupRecord(job.group, worker_id,
-                                           shared.executed));
-                stats.warmupsExecuted += shared.executed ? 1 : 0;
-                stats.warmupsReused += shared.reused ? 1 : 0;
+        if (job.group != ckpt_group) {
+            group_ckpt = {};
+            ckpt_group = job.group;
+            if (!job.group.empty()) {
+                exp::WarmupCache::Result shared = warmups.ensure(job.spec);
+                group_ckpt = std::move(shared.ckpt);
+                if (shared.executed || shared.reused) {
+                    events.append(warmupRecord(job.group, worker_id,
+                                               shared.executed));
+                    stats.warmupsExecuted += shared.executed ? 1 : 0;
+                    stats.warmupsReused += shared.reused ? 1 : 0;
+                }
             }
         }
-        // Moved in: runJob drops the view once restored.
-        const exp::JobResult r =
-            exp::runJob(job.spec, i, std::move(shared.ckpt));
+        const exp::JobResult r = exp::runJob(job.spec, i, group_ckpt);
         const std::string row = exp::jobResultToJson(r);
         if (r.ok) {
             events.append(doneRecord(i, worker_id, row));
@@ -93,14 +99,7 @@ runWorker(const WorkerOptions &opt)
         }
     };
 
-    // The last job of each warm-up group in this shard: once past it,
-    // run or skipped, the group's checkpoint leaves the heap.
     const std::size_t n = store.jobs().size();
-    std::map<std::string, std::size_t> last_of_group;
-    for (std::size_t i = opt.shardIndex; i < n; i += opt.shardCount)
-        if (!store.jobs()[i].group.empty())
-            last_of_group[store.jobs()[i].group] = i;
-
     for (std::size_t i = opt.shardIndex; i < n; i += opt.shardCount) {
         if (opt.maxJobs != 0 &&
             stats.executed + stats.failed >= opt.maxJobs)
@@ -128,8 +127,6 @@ runWorker(const WorkerOptions &opt)
             held.store(-1);
             store.releaseLease(i);
         }
-        if (!job.group.empty() && last_of_group[job.group] == i)
-            warmups.release(exp::warmupStateHash(job.spec));
     }
 
     stop.store(true);

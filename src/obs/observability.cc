@@ -45,13 +45,6 @@ Observability::startSampling(EventQueue &eq)
                        cfg_.sampleFormat);
 }
 
-StatGroup &
-Observability::makeGroup(const std::string &name)
-{
-    groups_.emplace_back(name);
-    return groups_.back();
-}
-
 void
 Observability::finish()
 {

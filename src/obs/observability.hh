@@ -3,23 +3,20 @@
  * Per-run observability bundle.
  *
  * Owns the output streams, the Sampler, the DapTrace and the
- * ChromeTraceWriter selected by an ObsConfig, plus the StatGroups the
- * wiring registers into the sampler (groups hold raw pointers into
- * components, so the bundle must not outlive the System it observes —
- * System owns it). The System constructor performs the wiring; see
- * System::setupObservability().
+ * ChromeTraceWriter selected by an ObsConfig. Their probes read the
+ * components of the System they observe, so the bundle must not
+ * outlive it — System owns it. The System constructor performs the
+ * wiring; see System::setupObservability().
  */
 
 #ifndef DAPSIM_OBS_OBSERVABILITY_HH
 #define DAPSIM_OBS_OBSERVABILITY_HH
 
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "common/event_queue.hh"
-#include "common/stats.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/dap_trace.hh"
 #include "obs/obs_config.hh"
@@ -45,7 +42,7 @@ class Observability
 
     const ObsConfig &config() const { return cfg_; }
 
-    /** The sampler; register groups/columns before startSampling(). */
+    /** The sampler; register columns before startSampling(). */
     Sampler &sampler() { return sampler_; }
 
     /** Begin periodic sampling on @p eq (no-op when sampling is off).
@@ -58,9 +55,6 @@ class Observability
 
     /** The Chrome trace writer, or null when --chrome-trace is off. */
     ChromeTraceWriter *chromeTrace() { return chromeTrace_.get(); }
-
-    /** Create a StatGroup owned by this bundle (stable address). */
-    StatGroup &makeGroup(const std::string &name);
 
     /** Stop sampling, close the trace document, flush all files.
      *  Idempotent. */
@@ -76,7 +70,6 @@ class Observability
     Sampler sampler_;
     std::unique_ptr<DapTrace> dapTrace_;
     std::unique_ptr<ChromeTraceWriter> chromeTrace_;
-    std::deque<StatGroup> groups_;
     bool finished_ = false;
 };
 

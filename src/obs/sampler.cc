@@ -23,14 +23,6 @@ fmtDouble(double v)
 } // namespace
 
 void
-Sampler::addGroup(const StatGroup *group)
-{
-    if (running_)
-        fatal("Sampler: cannot add columns after start()");
-    groups_.push_back(group);
-}
-
-void
 Sampler::addColumn(std::string name, std::function<double()> probe)
 {
     if (running_)
@@ -42,8 +34,6 @@ std::vector<std::string>
 Sampler::columnNames() const
 {
     std::vector<std::string> names;
-    for (const StatGroup *g : groups_)
-        g->appendColumnNames(names);
     for (const auto &[name, probe] : columns_)
         names.push_back(name);
     return names;
@@ -101,8 +91,6 @@ void
 Sampler::writeRow()
 {
     std::vector<double> values;
-    for (const StatGroup *g : groups_)
-        g->appendValues(values);
     for (const auto &[name, probe] : columns_)
         values.push_back(probe());
 

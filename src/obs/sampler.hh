@@ -2,11 +2,11 @@
  * @file
  * Time-series stat sampler.
  *
- * Snapshots registered StatGroups (and ad-hoc probe columns) every N
- * simulated CPU cycles into a columnar time series, turning end-of-run
- * aggregates — hit rates, CAS fractions, DAP credit counters — into
- * curves. Output is JSONL (a header record describing the columns,
- * then one record per sample) or CSV.
+ * Snapshots registered probe columns every N simulated CPU cycles
+ * into a columnar time series, turning end-of-run aggregates — hit
+ * rates, CAS fractions, DAP credit counters — into curves. Output is
+ * JSONL (a header record describing the columns, then one record per
+ * sample) or CSV.
  *
  * Determinism: every value is derived from simulator state, numbers
  * are printed with round-trip precision, and the sampling events only
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/event_queue.hh"
-#include "common/stats.hh"
 #include "obs/obs_config.hh"
 
 namespace dapsim::obs
@@ -38,12 +37,8 @@ class Sampler
     /** Schema identifier written into the JSONL header record. */
     static constexpr const char *kSchema = "dapsim.timeseries.v1";
 
-    /** Register every stat of @p group as columns (`group.name`).
-     *  The group must outlive the sampler. Register before start(). */
-    void addGroup(const StatGroup *group);
-
-    /** Register one derived column (ratios, credit counters, ...).
-     *  The probe must only read simulator state. */
+    /** Register one column (a counter, a ratio, a credit count, ...)
+     *  before start(). The probe must only read simulator state. */
     void addColumn(std::string name, std::function<double()> probe);
 
     /**
@@ -67,7 +62,6 @@ class Sampler
     void tick();
     void writeRow();
 
-    std::vector<const StatGroup *> groups_;
     std::vector<std::pair<std::string, std::function<double()>>>
         columns_;
 

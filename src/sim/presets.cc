@@ -73,17 +73,6 @@ edramSystem8(std::uint64_t capacity_mb)
 }
 
 SystemConfig
-tieredSystem8()
-{
-    SystemConfig cfg = sectoredSystem8();
-    cfg.remote.enabled = true;
-    cfg.remote.bwScaleFactor = 4.0;
-    cfg.remote.addLatencyNs = 120.0;
-    cfg.remote.maxOutstanding = 32;
-    return cfg;
-}
-
-SystemConfig
 sectoredSystem16()
 {
     SystemConfig cfg = sectoredSystem8();

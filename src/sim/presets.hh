@@ -32,11 +32,6 @@ SystemConfig alloySystem8();
  *  (for 256 MB) or 8 (for 512 MB). */
 SystemConfig edramSystem8(std::uint64_t capacity_mb = 4);
 
-/** The eight-core sectored system with a third bandwidth source: a
- *  CXL/RDMA-style remote pool at 1/4 of DDR bandwidth with a 120 ns
- *  latency adder and a 32-deep credit window. */
-SystemConfig tieredSystem8();
-
 /** Sixteen-core scaled system (Fig 13): 128 MB (for 8 GB) MS$ at
  *  204.8 GB/s, DDR4-3200, 2 MB L3. */
 SystemConfig sectoredSystem16();

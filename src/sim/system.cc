@@ -300,30 +300,42 @@ System::setupObservability()
         return;
     obs::Sampler &smp = obs_->sampler();
 
-    StatGroup &l3g = obs_->makeGroup("l3");
-    l3g.addCounter("hits", &l3_->hits);
-    l3g.addCounter("misses", &l3_->misses);
-    l3g.addCounter("writebacks", &l3_->writebacksToMs);
-
-    StatGroup &msg = obs_->makeGroup("ms");
-    msg.addCounter("readHits", &ms_->readHits);
-    msg.addCounter("readMisses", &ms_->readMisses);
-    msg.addCounter("writeHits", &ms_->writeHits);
-    msg.addCounter("writeMisses", &ms_->writeMisses);
-    msg.addCounter("fills", &ms_->fills);
-    msg.addCounter("fillsBypassed", &ms_->fillsBypassed);
-    msg.addCounter("writesBypassed", &ms_->writesBypassed);
-    msg.addCounter("forcedReadMisses", &ms_->forcedReadMisses);
-    msg.addCounter("speculativeReads", &ms_->speculativeReads);
-    msg.addCounter("dirtyWritebacks", &ms_->dirtyWritebacks);
-    smp.addGroup(&l3g);
-    smp.addGroup(&msg);
+    // Counter columns come first, each group's in name order.
+    auto counter = [&smp](std::string name, const Counter *c) {
+        smp.addColumn(std::move(name),
+                      [c] { return static_cast<double>(c->value()); });
+    };
+    counter("l3.hits", &l3_->hits);
+    counter("l3.misses", &l3_->misses);
+    counter("l3.writebacks", &l3_->writebacksToMs);
+    counter("ms.dirtyWritebacks", &ms_->dirtyWritebacks);
+    counter("ms.fills", &ms_->fills);
+    counter("ms.fillsBypassed", &ms_->fillsBypassed);
+    counter("ms.forcedReadMisses", &ms_->forcedReadMisses);
+    counter("ms.readHits", &ms_->readHits);
+    counter("ms.readMisses", &ms_->readMisses);
+    counter("ms.speculativeReads", &ms_->speculativeReads);
+    counter("ms.writeHits", &ms_->writeHits);
+    counter("ms.writeMisses", &ms_->writeMisses);
+    counter("ms.writesBypassed", &ms_->writesBypassed);
+    if (remote_) {
+        counter("remote.reads", &remote_->reads);
+        counter("remote.writes", &remote_->writes);
+    }
+    DapPolicy *dap = dapPolicy();
+    if (dap) {
+        counter("dap.fwbApplied", &dap->fwbApplied);
+        counter("dap.ifrmApplied", &dap->ifrmApplied);
+        if (dap->config().remoteEnabled())
+            counter("dap.remoteApplied", &dap->remoteApplied);
+        counter("dap.sfrmApplied", &dap->sfrmApplied);
+        counter("dap.wbApplied", &dap->wbApplied);
+        counter("dap.windowsPartitioned", &dap->windowsPartitioned);
+        counter("dap.windowsTotal", &dap->windowsTotal);
+        counter("dap.wtApplied", &dap->writeThroughApplied);
+    }
 
     if (remote_) {
-        StatGroup &rg = obs_->makeGroup("remote");
-        rg.addCounter("reads", &remote_->reads);
-        rg.addCounter("writes", &remote_->writes);
-        smp.addGroup(&rg);
         smp.addColumn("remote.busUtilization", [this] {
             return remote_->busUtilization(eq_.now());
         });
@@ -332,18 +344,7 @@ System::setupObservability()
         });
     }
 
-    if (DapPolicy *dap = dapPolicy()) {
-        StatGroup &dg = obs_->makeGroup("dap");
-        dg.addCounter("fwbApplied", &dap->fwbApplied);
-        dg.addCounter("wbApplied", &dap->wbApplied);
-        dg.addCounter("ifrmApplied", &dap->ifrmApplied);
-        dg.addCounter("sfrmApplied", &dap->sfrmApplied);
-        dg.addCounter("wtApplied", &dap->writeThroughApplied);
-        if (dap->config().remoteEnabled())
-            dg.addCounter("remoteApplied", &dap->remoteApplied);
-        dg.addCounter("windowsPartitioned", &dap->windowsPartitioned);
-        dg.addCounter("windowsTotal", &dap->windowsTotal);
-        smp.addGroup(&dg);
+    if (dap) {
         smp.addColumn("dap.fwbCredits", [dap] {
             return static_cast<double>(dap->fwbCredits());
         });

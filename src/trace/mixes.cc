@@ -18,15 +18,6 @@ rateMix(const WorkloadProfile &w, std::uint32_t copies)
 }
 
 std::vector<Mix>
-homogeneousMixes(std::uint32_t copies)
-{
-    std::vector<Mix> out;
-    for (const auto &w : allWorkloads())
-        out.push_back(rateMix(w, copies));
-    return out;
-}
-
-std::vector<Mix>
 heterogeneousMixes()
 {
     const auto sens = bandwidthSensitiveWorkloads();

@@ -35,9 +35,6 @@ struct Mix
 /** Rate-N mix of one workload. */
 Mix rateMix(const WorkloadProfile &w, std::uint32_t copies);
 
-/** The 17 homogeneous rate-@p copies mixes. */
-std::vector<Mix> homogeneousMixes(std::uint32_t copies = 8);
-
 /** The 27 deterministic heterogeneous eight-way mixes. */
 std::vector<Mix> heterogeneousMixes();
 

@@ -187,39 +187,6 @@ HotspotGenerator::restore(ckpt::Deserializer &d)
     runLeft_ = d.u32();
 }
 
-// ---- FloodGenerator ------------------------------------------------
-
-FloodGenerator::FloodGenerator(const KernelParams &p)
-    : p_(p), blocks_(footprintBlocks(p, "flood")), rng_(p.seed)
-{
-}
-
-template <bool kGap>
-WarmAccess
-FloodGenerator::draw(std::uint64_t &gap)
-{
-    WarmAccess out;
-    out.addr = p_.base + ptr_ * kBlockBytes;
-    ptr_ = (ptr_ + 1) % blocks_;
-    out.isWrite = rng_.chance(p_.writeFraction);
-    instrGap<kGap>(rng_, p_.mpki, gap);
-    return out;
-}
-
-void
-FloodGenerator::save(ckpt::Serializer &s) const
-{
-    rng_.save(s);
-    s.u64(ptr_);
-}
-
-void
-FloodGenerator::restore(ckpt::Deserializer &d)
-{
-    rng_.restore(d);
-    ptr_ = d.cursor(blocks_, "flood pointer");
-}
-
 // ---- ChaseGenerator ------------------------------------------------
 
 ChaseGenerator::ChaseGenerator(const KernelParams &p)
@@ -342,8 +309,6 @@ template WarmAccess ZipfGenerator::draw<true>(std::uint64_t &);
 template WarmAccess ZipfGenerator::draw<false>(std::uint64_t &);
 template WarmAccess HotspotGenerator::draw<true>(std::uint64_t &);
 template WarmAccess HotspotGenerator::draw<false>(std::uint64_t &);
-template WarmAccess FloodGenerator::draw<true>(std::uint64_t &);
-template WarmAccess FloodGenerator::draw<false>(std::uint64_t &);
 template WarmAccess ChaseGenerator::draw<true>(std::uint64_t &);
 template WarmAccess ChaseGenerator::draw<false>(std::uint64_t &);
 template WarmAccess WriteBurstGenerator::draw<true>(std::uint64_t &);

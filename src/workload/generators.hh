@@ -2,18 +2,19 @@
  * @file
  * Workload-engine access generators.
  *
- * Six named, composable primitives behind the AccessGenerator
- * interface:
+ * Five composable kernels behind the AccessGenerator interface. The
+ * six spec kinds of spec_names.hh map onto them: `flood` builds a
+ * stride-1 SparseStrideGenerator.
  *
  *  - ZipfGenerator: Zipf-ranked key popularity, ranks scrambled over
  *    the footprint by a Feistel permutation, optional phase drift.
  *  - HotspotGenerator: hot region + cold tail whose hot set drifts.
- *  - FloodGenerator: sequential read flood (bandwidth hog).
  *  - ChaseGenerator: dependent pointer chase over a full-cycle
  *    pseudorandom tour — zero spatial locality, prefetch-hostile.
  *  - WriteBurstGenerator: alternating write bursts and read phases.
- *  - SparseStrideGenerator: sector-hostile stride touching one block
- *    per sector.
+ *  - SparseStrideGenerator: fixed-stride sweep. The default stride
+ *    touches one block per sector (sector-hostile); stride 1 is the
+ *    sequential read flood (bandwidth hog).
  *
  * Determinism contract: every generator is a pure function of its
  * parameter block (seed included); two instances built from equal
@@ -138,26 +139,6 @@ class HotspotGenerator final : public DrawnGenerator<HotspotGenerator>
     std::uint32_t runLeft_ = 0;
 };
 
-/** Sequential streaming flood: maximum bandwidth demand. */
-class FloodGenerator final : public DrawnGenerator<FloodGenerator>
-{
-  public:
-    explicit FloodGenerator(const KernelParams &p);
-
-    void save(ckpt::Serializer &s) const override;
-    void restore(ckpt::Deserializer &d) override;
-
-  private:
-    friend class DrawnGenerator<FloodGenerator>;
-    template <bool kGap>
-    WarmAccess draw(std::uint64_t &gap);
-
-    KernelParams p_;
-    std::uint64_t blocks_;
-    Rng rng_;
-    std::uint64_t ptr_ = 0;
-};
-
 /** Dependent pointer chase over a full-cycle pseudorandom tour. */
 class ChaseGenerator final : public DrawnGenerator<ChaseGenerator>
 {
@@ -208,7 +189,8 @@ class WriteBurstGenerator final
     std::uint64_t writePtr_ = 0;
 };
 
-/** Sector-hostile sparse stride: one block per sector. */
+/** Fixed-stride sweep: sector-hostile at one block per sector, a
+ *  sequential flood at stride 1. */
 class SparseStrideGenerator final
     : public DrawnGenerator<SparseStrideGenerator>
 {

@@ -251,14 +251,16 @@ readKind(const ParsedSpec &ps, bool build, std::uint32_t core_id,
             gen = std::make_unique<HotspotGenerator>(p);
         }
     } else if (ps.kind == "flood") {
-        KernelParams p;
+        // A dense, read-only sweep: a stride-1 sparse stream.
+        SparseStrideGenerator::Params p;
+        p.strideBlocks = 1;
         p.footprintBytes = r.size("fp", 64 * kMiB);
         p.writeFraction = r.unit("write", 0.0);
         p.mpki = r.mpki("mpki", 200.0);
         p.seed = r.count("seed", p.seed, 0);
         if (build) {
             foldCore(p, core_id, salt);
-            gen = std::make_unique<FloodGenerator>(p);
+            gen = std::make_unique<SparseStrideGenerator>(p);
         }
     } else if (ps.kind == "chase") {
         KernelParams p;

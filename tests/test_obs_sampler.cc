@@ -146,6 +146,69 @@ TEST(ObsSampler, JsonlSchemaIsSelfConsistent)
     std::remove(path.c_str());
 }
 
+/** The column list of a tiered DAP run with two tenants, in output
+ *  order: counter columns first (each group in name order), then the
+ *  derived probes. Every dapsim.timeseries.v1 header follows it. */
+TEST(ObsSampler, TieredDapTenantColumnsArePinned)
+{
+    SystemConfig cfg = tinySystem();
+    cfg.remote.enabled = true;
+    cfg.obs.sampleEvery = 1'000;
+    cfg.obs.sampleOut = tmpPath("columns.jsonl");
+    cfg.obs.coreTenants = {"web", "db", "web", "db"};
+    System sys(cfg, tinyGens(cfg));
+    const std::vector<std::string> want = {
+        "l3.hits",
+        "l3.misses",
+        "l3.writebacks",
+        "ms.dirtyWritebacks",
+        "ms.fills",
+        "ms.fillsBypassed",
+        "ms.forcedReadMisses",
+        "ms.readHits",
+        "ms.readMisses",
+        "ms.speculativeReads",
+        "ms.writeHits",
+        "ms.writeMisses",
+        "ms.writesBypassed",
+        "remote.reads",
+        "remote.writes",
+        "dap.fwbApplied",
+        "dap.ifrmApplied",
+        "dap.remoteApplied",
+        "dap.sfrmApplied",
+        "dap.wbApplied",
+        "dap.windowsPartitioned",
+        "dap.windowsTotal",
+        "dap.wtApplied",
+        "remote.busUtilization",
+        "remote.queuePeakDepth",
+        "dap.fwbCredits",
+        "dap.wbCredits",
+        "dap.ifrmCredits",
+        "dap.sfrmCredits",
+        "dap.wtCredits",
+        "dap.remoteCredits",
+        "sim.events",
+        "cores.ipc",
+        "ms.hitRatio",
+        "ms.mmCasFraction",
+        "mainMemory.casReads",
+        "mainMemory.casWrites",
+        "mainMemory.rowHits",
+        "mainMemory.rowMisses",
+        "tenant.web.reads",
+        "tenant.web.writes",
+        "tenant.web.ipc",
+        "tenant.db.reads",
+        "tenant.db.writes",
+        "tenant.db.ipc",
+    };
+    EXPECT_EQ(sys.observability()->sampler().columnNames(), want);
+    sys.observability()->finish();
+    std::remove(cfg.obs.sampleOut.c_str());
+}
+
 TEST(ObsSampler, CsvRowsMatchHeader)
 {
     const std::string path = tmpPath("format.csv");
@@ -206,6 +269,52 @@ TEST(ObsSampler, ParallelSweepJobsWriteIdenticalFiles)
     EXPECT_NE(first, slurp(paths[2])); // different policy differs
     for (const auto &p : paths)
         std::remove(p.c_str());
+}
+
+TEST(ObsSampler, ForkedSweepJobsWriteTheUnforkedFiles)
+{
+    // One warm-up group of two policies, each job sampling and tracing
+    // DAP windows into its own files. Forked from the group's shared
+    // warm-up, every file must equal the one the job writes unforked.
+    auto runGrid = [](bool fork, const std::string &tag) {
+        exp::SweepRunner runner;
+        std::vector<std::string> paths;
+        for (PolicyKind policy : {PolicyKind::Baseline, PolicyKind::Dap}) {
+            const std::string stem =
+                tmpPath("fork_" + tag + "_" + exp::policyKindName(policy));
+            exp::JobSpec spec;
+            spec.cfg = tinySystem();
+            spec.cfg.obs.sampleEvery = 1'000;
+            spec.cfg.obs.sampleOut = stem + ".samples.jsonl";
+            spec.cfg.obs.dapTrace = stem + ".daptrace.jsonl";
+            spec.policy = policy;
+            spec.instr = 2'000;
+            WorkloadProfile w = workloadByName("mcf");
+            w.params.footprintBytes = 256 * kKiB;
+            spec.mix = rateMix(w, spec.cfg.numCores);
+            paths.push_back(spec.cfg.obs.sampleOut);
+            paths.push_back(spec.cfg.obs.dapTrace);
+            runner.add(std::move(spec));
+        }
+        if (fork)
+            runner.setWarmupFork(true);
+        for (const auto &r : runner.run(2))
+            EXPECT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(runner.warmupsExecuted(), fork ? 1u : 0u);
+        std::vector<std::string> files;
+        for (const auto &p : paths) {
+            files.push_back(slurp(p));
+            std::remove(p.c_str());
+        }
+        return files;
+    };
+    const auto unforked = runGrid(false, "off");
+    const auto forked = runGrid(true, "on");
+    ASSERT_EQ(forked.size(), 4u);
+    EXPECT_FALSE(unforked[0].empty()); // baseline samples
+    EXPECT_FALSE(unforked[2].empty()); // DAP samples
+    EXPECT_FALSE(unforked[3].empty()); // DAP decision trace
+    EXPECT_EQ(forked, unforked);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -382,27 +383,120 @@ TEST(SweepRunner, PhaseTraceNestsEachWarmupInItsGroupsFirstJob)
     }
 }
 
-TEST(SweepWarmupFork, CacheReleaseDropsOnlyThatGroup)
+/** The cache keeps no state: without a directory every call for a
+ *  group simulates it again, and with one the second call loads the
+ *  first call's checkpoint from disk. */
+TEST(SweepWarmupFork, CacheKeepsNothingBetweenCalls)
 {
-    exp::JobSpec a;
-    a.cfg = tinySystem();
-    a.mix = tinyMix("mcf");
-    a.instr = 1'000;
-    exp::JobSpec b = a;
-    b.mix = tinyMix("bwaves");
+    exp::JobSpec spec;
+    spec.cfg = tinySystem();
+    spec.mix = tinyMix("mcf");
+    spec.instr = 1'000;
 
-    exp::WarmupCache cache("");
-    const auto first = cache.ensure(a);
+    const exp::WarmupCache memory("");
+    const auto first = memory.ensure(spec);
     ASSERT_TRUE(first.ckpt);
-    EXPECT_TRUE(cache.ensure(b).executed);
-    cache.release(exp::warmupStateHash(a));
-    // A view handed out before the release stays valid.
-    EXPECT_EQ(first.ckpt.header.stateHash, exp::warmupStateHash(a));
-    EXPECT_EQ(exp::runJob(a, 0, first.ckpt).ok, true);
-    // The released group is prepared afresh; the other is still held.
-    EXPECT_TRUE(cache.ensure(a).executed);
-    EXPECT_FALSE(cache.ensure(b).executed);
-    EXPECT_EQ(cache.executed(), 3u);
+    EXPECT_TRUE(first.executed);
+    const auto second = memory.ensure(spec);
+    EXPECT_TRUE(second.executed);
+    EXPECT_FALSE(second.reused);
+    EXPECT_EQ(second.ckpt.header.stateHash, exp::warmupStateHash(spec));
+
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "dapsim_cache_stateless")
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const exp::WarmupCache disk(dir);
+    const auto made = disk.ensure(spec);
+    EXPECT_TRUE(made.executed);
+    EXPECT_FALSE(made.reused);
+    const auto loaded = disk.ensure(spec);
+    ASSERT_TRUE(loaded.ckpt);
+    EXPECT_FALSE(loaded.executed);
+    EXPECT_TRUE(loaded.reused);
+    // Both views fork the same job to the same row.
+    EXPECT_EQ(exp::jobResultToJson(exp::runJob(spec, 0, made.ckpt)),
+              exp::jobResultToJson(exp::runJob(spec, 0, loaded.ckpt)));
+    std::filesystem::remove_all(dir);
+}
+
+/** A group of one job shares nothing, so it runs unforked unless a
+ *  checkpoint directory keeps its warm-up for later sweeps. Either
+ *  way the rows equal an unforked run. */
+TEST(SweepWarmupFork, LoneJobsRunUnforkedWithoutADirectory)
+{
+    auto add = [](exp::SweepRunner &runner) {
+        runner.addGrid(tinySystem(), {tinyMix("mcf")},
+                       {PolicyKind::Baseline, PolicyKind::Dap}, 1'000);
+        runner.addGrid(tinySystem(), {tinyMix("bwaves")},
+                       {PolicyKind::Dap}, 1'000);
+    };
+    auto rows = [](exp::SweepRunner &runner) {
+        std::vector<std::string> out;
+        for (const exp::JobResult &r : runner.run(2)) {
+            EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
+            out.push_back(exp::jobResultToJson(r));
+        }
+        return out;
+    };
+    exp::SweepRunner plain;
+    add(plain);
+    const std::vector<std::string> want = rows(plain);
+    EXPECT_EQ(plain.warmupsExecuted(), 0u);
+
+    exp::SweepRunner forked;
+    add(forked);
+    forked.setWarmupFork(true);
+    EXPECT_EQ(rows(forked), want);
+    EXPECT_EQ(forked.warmupsExecuted(), 1u);
+
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "dapsim_lone_jobs")
+            .string();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    exp::SweepRunner kept;
+    add(kept);
+    kept.setWarmupFork(true, dir);
+    EXPECT_EQ(rows(kept), want);
+    EXPECT_EQ(kept.warmupsExecuted(), 2u);
+    std::filesystem::remove_all(dir);
+}
+
+/** A lone job is claimed where its group's warm-up would start, not
+ *  as a ready job ahead of every warm-up: one worker runs the grid in
+ *  submission order, the lone job last. */
+TEST(SweepWarmupFork, LoneJobKeepsItsPlaceInTheClaimOrder)
+{
+    exp::SweepRunner runner;
+    runner.addGrid(tinySystem(), {tinyMix("mcf"), tinyMix("omnetpp")},
+                   {PolicyKind::Baseline, PolicyKind::Dap}, 1'000);
+    runner.addGrid(tinySystem(), {tinyMix("bwaves")}, {PolicyKind::Dap},
+                   1'000);
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "dapsim_lone_order.json")
+            .string();
+    runner.setWarmupFork(true);
+    runner.setPhaseTrace(path);
+    for (const exp::JobResult &r : runner.run(1))
+        EXPECT_TRUE(r.ok) << r.label << ": " << r.error;
+    EXPECT_EQ(runner.warmupsExecuted(), 2u);
+
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::filesystem::remove(path);
+    const json::Value trace = json::parse(text.str());
+    std::vector<std::pair<double, std::string>> jobs; // start, label
+    for (const json::Value &e : trace.at("traceEvents").arr)
+        if (e.at("ph").asString() == "X" && e.at("cat").asString() == "job")
+            jobs.emplace_back(e.at("ts").asDouble(), e.at("name").asString());
+    std::sort(jobs.begin(), jobs.end());
+    ASSERT_EQ(jobs.size(), 5u);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(jobs[i].second.find("bwaves") != std::string::npos, i == 4)
+            << i << ": " << jobs[i].second;
 }
 
 /** A creation lock whose owner is a dead process on this host is

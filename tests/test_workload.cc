@@ -200,6 +200,39 @@ TEST(WorkloadEngine, StreamsAreSeedDeterministic)
     }
 }
 
+/** `flood` is a stride-1 sparse stream with its own defaults: pin its
+ *  records (address, direction, gap) and the checkpoint after them,
+ *  at the defaults and at a footprint the stream wraps, on two cores. */
+TEST(WorkloadEngine, FloodStreamAndCheckpointArePinned)
+{
+    struct Golden
+    {
+        const char *spec;
+        std::uint64_t digest[2]; ///< per core
+    };
+    const Golden golden[] = {
+        {"flood", {0xf4bb926c94c7acd9ULL, 0x92b455451b2e5019ULL}},
+        {"flood:fp=1M,write=0.3,mpki=7",
+         {0x39b1753b3c5dc0dbULL, 0x270991175fcf156bULL}},
+    };
+    for (const Golden &g : golden) {
+        for (std::uint32_t core = 0; core < 2; ++core) {
+            auto gen = workload::makeSpecGenerator(g.spec, core, 3);
+            ckpt::Serializer s;
+            TraceRequest r;
+            for (int i = 0; i < 50'000; ++i) {
+                ASSERT_TRUE(gen->next(r));
+                s.u64(r.addr);
+                s.boolean(r.isWrite);
+                s.u64(r.instrGap);
+            }
+            gen->save(s);
+            EXPECT_EQ(ckpt::fnv1a(s.buffer()), g.digest[core])
+                << g.spec << " core " << core;
+        }
+    }
+}
+
 TEST(WorkloadEngine, DifferentCoresGetPrivateSlices)
 {
     auto g0 = workload::makeSpecGenerator("zipf:fp=1M", 0);
