@@ -27,70 +27,47 @@ BankTiming::from(const DramConfig &cfg)
     return t;
 }
 
-Bank::Access
-Bank::peek(const BankTiming &t, Tick at, std::uint64_t row) const
+Bank::Floors
+Bank::floors(const BankTiming &t) const
 {
-    const Tick start = std::max(at, readyAt_);
-    Access acc{};
-    acc.rowHit = (openRow_ == row);
-    acc.rowEmpty = (openRow_ == kNoRow);
-
-    if (acc.rowHit) {
-        acc.dataReadyAt = start + t.tCas;
-    } else if (acc.rowEmpty) {
-        acc.dataReadyAt = start + t.tRcd + t.tCas;
-    } else {
-        // Same arithmetic as reserve()'s conflict arm: preAt + tRP is
-        // the activate tick, data follows tRCD + tCAS later.
-        const Tick preAt = std::max(start, activatedAt_ + t.tRas);
-        acc.dataReadyAt = preAt + t.tRp + t.tRcd + t.tCas;
-    }
-    return acc;
-}
-
-Bank::Probe
-Bank::probe(const BankTiming &t, Tick at) const
-{
-    const Tick start = std::max(at, readyAt_);
-    Probe p;
-    p.openRow = openRow_;
+    // A request at tick `at` starts at max(at, readyAt_); each arm's
+    // latency distributes over that max.
+    Floors f;
+    f.openRow = openRow_;
+    f.hitFloor = readyAt_ + t.tCas;
     if (openRow_ == kNoRow) {
-        // Page-empty: every row pays activate + column access.
-        p.hitAt = p.otherAt = start + t.tRcd + t.tCas;
+        f.otherLat = t.tRcd + t.tCas;
+        f.otherFloor = readyAt_ + f.otherLat;
     } else {
-        p.hitAt = start + t.tCas;
-        const Tick preAt = std::max(start, activatedAt_ + t.tRas);
-        p.otherAt = preAt + t.tRp + t.tRcd + t.tCas;
+        // Conflict: precharge no earlier than tRAS after the activate.
+        f.otherLat = t.tRp + t.tRcd + t.tCas;
+        f.otherFloor =
+            std::max(readyAt_, activatedAt_ + t.tRas) + f.otherLat;
     }
-    return p;
+    return f;
 }
 
 Bank::Access
 Bank::reserve(const BankTiming &t, Tick at, std::uint64_t row)
 {
-    Tick start = std::max(at, readyAt_);
+    const Floors f = floors(t);
     Access acc{};
     acc.rowHit = (openRow_ == row);
     acc.rowEmpty = (openRow_ == kNoRow);
-
     if (acc.rowHit) {
-        acc.dataReadyAt = start + t.tCas;
-    } else if (acc.rowEmpty) {
-        activatedAt_ = start;
-        acc.dataReadyAt = start + t.tRcd + t.tCas;
+        acc.dataReadyAt = std::max(at + t.tCas, f.hitFloor);
     } else {
-        // Row conflict: precharge (respecting tRAS), activate, read.
-        const Tick preAt = std::max(start, activatedAt_ + t.tRas);
-        activatedAt_ = preAt + t.tRp;
-        acc.dataReadyAt = activatedAt_ + t.tRcd + t.tCas;
+        // Page-empty or conflict: the activate sits tRCD before the
+        // column command.
+        acc.dataReadyAt = std::max(at + f.otherLat, f.otherFloor);
+        activatedAt_ = acc.dataReadyAt - t.tCas - t.tRcd;
     }
 
     openRow_ = row;
     // Column commands pipeline at tCCD (one burst) on an open row: the
     // bank accepts the next CAS one burst after this one's command
     // slot, while this access's data arrives tCAS later.
-    const Tick cmd_at = acc.dataReadyAt - t.tCas;
-    readyAt_ = cmd_at + t.burst;
+    readyAt_ = acc.dataReadyAt - t.tCas + t.burst;
     return acc;
 }
 
@@ -106,12 +83,6 @@ Bank::Access
 Bank::reserve(const DramConfig &cfg, Tick at, std::uint64_t row)
 {
     return reserve(BankTiming::from(cfg), at, row);
-}
-
-Bank::Access
-Bank::peek(const DramConfig &cfg, Tick at, std::uint64_t row) const
-{
-    return peek(BankTiming::from(cfg), at, row);
 }
 
 void

@@ -6,9 +6,9 @@
  * command and the next precharge may legally issue (tRCD/tCAS/tRP/tRAS).
  *
  * Timing products (cycles x period) are resolved once per channel into
- * a BankTiming POD; the FR-FCFS scan probes banks against that single
- * cache line instead of re-deriving five multiplications from the
- * config on every candidate.
+ * a BankTiming POD, so reserving a bank or deriving its Floors reads
+ * one cache line instead of re-deriving five multiplications from the
+ * config.
  */
 
 #ifndef DAPSIM_DRAM_BANK_HH
@@ -26,9 +26,9 @@ struct DramConfig;
 
 /**
  * Per-access timing products in ticks, resolved once from a
- * DramConfig (see BankTiming::from). One cache line: the scheduler's
- * candidate scan reads it on every probe, so it must never share a
- * line with mutable channel state.
+ * DramConfig (see BankTiming::from). One cache line: the scheduler
+ * reads it on every CAS, so it must never share a line with mutable
+ * channel state.
  */
 struct alignas(64) BankTiming
 {
@@ -65,30 +65,26 @@ class Bank
      */
     Access reserve(const BankTiming &t, Tick at, std::uint64_t row);
 
-    /** Compute the access timing without changing any state (used by
-     *  the scheduler to rank candidates). Pure function over the three
-     *  state words — no bank copy, no writes. */
-    Access peek(const BankTiming &t, Tick at, std::uint64_t row) const;
-
     /**
-     * Both answers peek() can give at tick @p at: the row argument
-     * only matters through equality with the open row, so one Probe
-     * ranks every queued request to this bank. On a page-empty bank
-     * the two arms coincide (any row must activate first).
+     * A rank record that changes only with the bank: a request to row
+     * r at tick `at` has its data ready at max(at + tCAS, hitFloor)
+     * when r == openRow, else at max(at + otherLat, otherFloor) (a
+     * page-empty activate, or a tRAS-bound conflict). reserve() takes
+     * its answer from the same record the scheduler ranks with.
      */
-    struct Probe
+    struct Floors
     {
         std::uint64_t openRow; ///< kNoRow when page-empty
-        Tick hitAt;            ///< dataReadyAt for row == openRow
-        Tick otherAt;          ///< dataReadyAt for any other row
+        Tick hitFloor;         ///< readyAt + tCAS
+        Tick otherFloor;       ///< earliest data tick of a non-hit
+        Tick otherLat;         ///< non-hit latency from the request tick
     };
 
-    Probe probe(const BankTiming &t, Tick at) const;
+    Floors floors(const BankTiming &t) const;
 
-    /** Convenience overloads resolving timing per call (tests and
-     *  one-shot probes; the simulation hot path uses BankTiming). */
+    /** Convenience overloads resolving timing per call (tests; the
+     *  simulation hot path uses BankTiming). */
     Access reserve(const DramConfig &cfg, Tick at, std::uint64_t row);
-    Access peek(const DramConfig &cfg, Tick at, std::uint64_t row) const;
     void refresh(const DramConfig &cfg, Tick now);
 
     /** Open row, or kNoRow. */

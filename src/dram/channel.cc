@@ -21,7 +21,8 @@ ChannelTiming::from(const DramConfig &cfg)
 Channel::Channel(EventQueue &eq, const DramConfig &cfg, std::uint32_t index)
     : eq_(eq), cfg_(cfg), bankTiming_(BankTiming::from(cfg)),
       timing_(ChannelTiming::from(cfg)), index_(index),
-      banks_(cfg.ranksPerChannel * cfg.banksPerRank)
+      banks_(cfg.ranksPerChannel * cfg.banksPerRank),
+      floors_(banks_.size(), Bank().floors(bankTiming_))
 {
     readDemandQ_.reserve(cfg_.requestQueueReserve);
     readLowQ_.reserve(cfg_.requestQueueReserve);
@@ -40,8 +41,10 @@ void
 Channel::refreshTick()
 {
     refreshes.inc();
-    for (Bank &b : banks_)
-        b.refresh(bankTiming_, eq_.now());
+    for (std::size_t b = 0; b < banks_.size(); ++b) {
+        banks_[b].refresh(bankTiming_, eq_.now());
+        refloor(b);
+    }
     eq_.scheduleAfter(timing_.refi,
                       EventQueue::Callback::of<&Channel::refreshTick>(this));
 }
@@ -96,50 +99,29 @@ Channel::pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
 {
     // FR-FCFS flavour: within the scan window, choose the request
     // whose data could start earliest (row hits on ready banks win;
-    // requests to backed-up banks lose). Ties resolve to the oldest,
-    // which bounds starvation together with the scan depth.
+    // requests to backed-up banks lose). Ties resolve to the oldest
+    // (strict <), which bounds starvation together with the scan
+    // depth. Masks and selects, not branches: windows mix hits and
+    // misses unpredictably.
     const Tick now = eq_.now();
-    // No candidate can beat now + tCAS (start = max(now, readyAt) and
-    // the cheapest arm is a row hit), and ties already go to the
-    // earliest-scanned entry — so a candidate at the floor ends the
-    // scan exactly.
-    const Tick floor = now + bankTiming_.tCas;
+    const Tick hitAt = now + bankTiming_.tCas;
     Pick best{0, ~Tick(0)};
-    // One Bank::probe per distinct bank answers every candidate row
-    // (hit vs other), so interleaved-bank queues cost one state read
-    // per bank instead of one peek per entry.
-    constexpr std::size_t kMaxCachedBanks = 64;
-    Bank::Probe probes[kMaxCachedBanks];
-    std::uint64_t have = 0; // bitmask of banks already probed
-    const bool cacheable = banks_.size() <= kMaxCachedBanks;
     std::size_t base = 0; // global index of the current span's start
     for (std::size_t s = 0; s < nspans && depth != 0; ++s) {
         const HotReq *p = spans[s].first;
         const std::size_t n = std::min(spans[s].second, depth);
         depth -= n;
         for (std::size_t i = 0; i < n; ++i) {
-            const HotReq &r = p[i];
-            Tick ready;
-            if (cacheable) {
-                const std::uint64_t bit = std::uint64_t(1) << r.bank;
-                if ((have & bit) == 0) {
-                    probes[r.bank] =
-                        banks_[r.bank].probe(bankTiming_, now);
-                    have |= bit;
-                }
-                const Bank::Probe &pr = probes[r.bank];
-                ready = r.row == pr.openRow ? pr.hitAt : pr.otherAt;
-            } else {
-                ready = banks_[r.bank]
-                            .peek(bankTiming_, now, r.row)
-                            .dataReadyAt;
-            }
-            if (ready < best.dataReadyAt) {
-                best.dataReadyAt = ready;
-                best.idx = base + i;
-                if (ready <= floor)
-                    return best;
-            }
+            const Bank::Floors &f = floors_[p[i].bank];
+            const Tick hitReady = std::max(hitAt, f.hitFloor);
+            const Tick otherReady =
+                std::max(now + f.otherLat, f.otherFloor);
+            const Tick hitMask = Tick(0) - Tick(p[i].row == f.openRow);
+            const Tick ready =
+                (hitReady & hitMask) | (otherReady & ~hitMask);
+            const bool better = ready < best.dataReadyAt;
+            best.dataReadyAt = better ? ready : best.dataReadyAt;
+            best.idx = better ? base + i : best.idx;
         }
         base += n;
     }
@@ -149,14 +131,14 @@ Channel::pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
 Tick
 Channel::placeBus(Tick ready, Tick occ, bool reserve)
 {
-    // Prune expired reservations from the front only. An expired
-    // entry is transparent to placement (candidates always have
-    // ready > now, so neither loop condition can trigger on it), so
-    // a mid-vector straggler merely waits its turn to reach the
-    // front — no per-call full-vector erase_if scan.
+    // Sorted, disjoint reservations: the expired ones (end <= now)
+    // form a prefix, and could not move a placement (ready > now)
+    // anyway.
     const Tick now = eq_.now();
-    while (!busResv_.empty() && busResv_.front().second <= now)
-        busResv_.erase(busResv_.begin());
+    auto live = busResv_.begin();
+    while (live != busResv_.end() && live->second <= now)
+        ++live;
+    busResv_.erase(busResv_.begin(), live);
 
     Tick start = ready;
     std::size_t pos = 0;
@@ -183,6 +165,7 @@ Channel::issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite)
 
     Bank &bank = banks_[req.bank];
     const Bank::Access acc = bank.reserve(bankTiming_, eq_.now(), req.row);
+    refloor(req.bank);
 
     Tick occupancy = bankTiming_.burst +
                      req.extraDataClocks * timing_.period;
@@ -251,11 +234,10 @@ Channel::kick()
         const bool fromWrites =
             (draining_ && !writeQ_.empty()) || readLen == 0;
 
-        // The scan already probed the winner's bank, so its data-ready
-        // tick rides along in the Pick — no second peek here. Reads
-        // scan as one sequence — demands, then lows — which is the
-        // FR-FCFS scan (and tie-break) order of a combined
-        // priority-sorted queue.
+        // The scan already ranked the winner, so its data-ready tick
+        // rides along in the Pick. Reads scan as one sequence —
+        // demands, then lows — which is the FR-FCFS scan (and
+        // tie-break) order of a combined priority-sorted queue.
         std::pair<const HotReq *, std::size_t> spans[4];
         std::size_t nspans;
         if (fromWrites) {
@@ -336,13 +318,25 @@ Channel::restore(ckpt::Deserializer &d)
             "in flight");
     if (d.u64() != banks_.size())
         throw ckpt::CkptError("ckpt: DRAM bank count mismatch");
-    for (Bank &b : banks_)
-        b.restore(d);
+    for (std::size_t b = 0; b < banks_.size(); ++b) {
+        banks_[b].restore(d);
+        refloor(b);
+    }
     busResv_.resize(
         d.count(2 * sizeof(std::uint64_t), "DRAM bus reservation"));
-    for (auto &[start, end] : busResv_) {
+    // placeBus() needs sorted, disjoint, non-empty reservations;
+    // touching ones (back-to-back bursts) are valid.
+    Tick prevEnd = 0;
+    for (std::size_t i = 0; i < busResv_.size(); ++i) {
+        auto &[start, end] = busResv_[i];
         start = d.u64();
         end = d.u64();
+        if (start >= end || start < prevEnd)
+            throw ckpt::CkptError(
+                "ckpt: DRAM bus reservation " + std::to_string(i) + " [" +
+                std::to_string(start) + ", " + std::to_string(end) + ") " +
+                (start >= end ? "is empty" : "overlaps the one before it"));
+        prevEnd = end;
     }
     lastWasWrite_ = d.boolean();
     draining_ = d.boolean();

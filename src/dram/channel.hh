@@ -165,17 +165,18 @@ class Channel
     /** Pre-bound kick event body: drops stale (superseded) wakeups. */
     void kickTick();
 
-    /** Winning candidate of one FR-FCFS scan: queue position plus the
-     *  bank probe result, so kick() need not re-peek the winner. */
+    /** Winning candidate of one FR-FCFS scan: queue position plus its
+     *  data-ready tick, so kick() need not rank the winner again. */
     struct Pick
     {
         std::size_t idx = 0;
         Tick dataReadyAt = 0;
     };
 
-    /** Pick the best candidate (earliest data) among the first
-     *  @p depth entries of the concatenated @p spans (contiguous
-     *  HotReq runs in scan order). Total span length must be > 0. */
+    /** Pick the best candidate (earliest data, oldest on ties) among
+     *  the first @p depth entries of the concatenated @p spans
+     *  (contiguous HotReq runs in scan order), ranked from floors_.
+     *  Total span length must be > 0. */
     Pick pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
                    std::size_t nspans, std::size_t depth) const;
 
@@ -187,6 +188,13 @@ class Channel
 
     /** Issue one request from @p q at position @p idx. */
     void issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite);
+
+    /** Re-derive bank @p b's rank record after its state changed. */
+    void
+    refloor(std::size_t b)
+    {
+        floors_[b] = banks_[b].floors(bankTiming_);
+    }
 
     /** Longest tolerated gap between now and a candidate's data start
      *  before the scheduler goes back to sleep: a full row-conflict
@@ -209,8 +217,11 @@ class Channel
     /** Parked completion callbacks (see HotReq::cb). */
     SlotPool<EventQueue::Callback> callbacks_;
     std::vector<Bank> banks_;
+    /** Each bank's rank record (Bank::Floors), kept current by
+     *  refloor() wherever that bank's state changes. */
+    std::vector<Bank::Floors> floors_;
 
-    /** Future bus reservations [start, end), sorted by start tick. */
+    /** Future bus reservations [start, end), sorted and disjoint. */
     std::vector<std::pair<Tick, Tick>> busResv_;
 
     bool lastWasWrite_ = false;

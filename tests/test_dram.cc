@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/serializer.hh"
@@ -96,16 +98,49 @@ TEST(Bank, RowHitIsFasterThanMissIsFasterThanConflict)
               (cfg.tRP + cfg.tRCD + cfg.tCAS) * period - 1);
 }
 
-TEST(Bank, PeekDoesNotMutate)
+TEST(Bank, FloorsMatchReserve)
 {
-    const DramConfig cfg = presets::hbm_102();
+    // The scheduler ranks from floors(), and reserve() takes its answer
+    // from them too. Both must equal the DRAM timing of every arm, at
+    // request ticks before, at and after the bank's ready point, with
+    // tRAS binding and not. @p act is the bank's last activate tick.
+    const BankTiming t = BankTiming::from(presets::hbm_102());
+    auto check = [&t](const Bank &b, Tick act, std::uint64_t row,
+                      bool hit, bool empty) {
+        const Bank::Floors f = b.floors(t);
+        const Tick ready = b.readyAt();
+        for (const Tick at : {Tick(0), ready / 2, ready, ready + 1,
+                              ready + 100 * t.tRas}) {
+            const Tick start = std::max(at, ready);
+            const Tick want =
+                hit     ? start + t.tCas
+                : empty ? start + t.tRcd + t.tCas
+                        : std::max(start, act + t.tRas) + t.tRp +
+                              t.tRcd + t.tCas;
+            const Tick ranked =
+                row == f.openRow ? std::max(at + t.tCas, f.hitFloor)
+                                 : std::max(at + f.otherLat, f.otherFloor);
+            Bank copy = b;
+            const Bank::Access acc = copy.reserve(t, at, row);
+            EXPECT_EQ(acc.rowHit, hit) << "at " << at;
+            EXPECT_EQ(acc.rowEmpty, empty) << "at " << at;
+            EXPECT_EQ(ranked, want) << "row " << row << " at " << at;
+            EXPECT_EQ(acc.dataReadyAt, want) << "row " << row << " at " << at;
+            EXPECT_EQ(copy.readyAt(), want - t.tCas + t.burst);
+        }
+    };
     Bank b;
-    (void)b.reserve(cfg, 0, 3);
-    const Tick ready = b.readyAt();
-    const auto p = b.peek(cfg, ready, 5);
-    EXPECT_FALSE(p.rowHit);
-    EXPECT_EQ(b.openRow(), 3u);
-    EXPECT_EQ(b.readyAt(), ready);
+    check(b, 0, 3, false, true); // page-empty, never used
+    (void)b.reserve(t, 0, 3);    // activates at 0
+    ASSERT_LT(b.readyAt(), t.tRas) << "tRAS must bind early on";
+    check(b, 0, 3, true, false);  // hit
+    check(b, 0, 5, false, false); // conflict
+    b.refresh(t, 40 * t.tCas);
+    check(b, 0, 5, false, true); // page-empty after a refresh
+    const Tick act = b.readyAt();
+    (void)b.reserve(t, act, 5);
+    check(b, act, 5, true, false);
+    check(b, act, 9, false, false);
 }
 
 TEST(Bank, PrechargeClosesRow)
@@ -262,14 +297,8 @@ TEST_F(DramSystemTest, TurnaroundsAreCounted)
     EXPECT_GT(turns, 0u);
 }
 
-/**
- * Channel::restore sizes its bus-reservation list from a checkpoint
- * word, so a CRC-valid image from another build must not reach the
- * allocation with an impossible count. Unchecked, these counts ended
- * in std::bad_alloc (2^40), ~770 MB of allocation before "truncated
- * input" (5*10^7) and std::length_error (2^60 - 1).
- */
-class BusResvCount : public ::testing::TestWithParam<std::uint64_t>
+/** Channel 0's bus timeline inside a saved DramSystem image. */
+class BusTimeline : public ::testing::Test
 {
   protected:
     /** Channel 0's bus-reservation count sits after the channel count,
@@ -303,6 +332,39 @@ class BusResvCount : public ::testing::TestWithParam<std::uint64_t>
         mem.save(s);
         return s.buffer();
     }
+
+    /** @p img with channel 0's bus timeline replaced by @p resv. */
+    static std::vector<std::uint8_t>
+    withTimeline(const DramConfig &cfg, std::vector<std::uint8_t> img,
+                 const std::vector<std::pair<Tick, Tick>> &resv)
+    {
+        const std::size_t at = countAt(cfg);
+        const auto first = img.begin() + static_cast<std::ptrdiff_t>(at);
+        img.erase(first, first + static_cast<std::ptrdiff_t>(
+                                     8 + 16 * word(img, at)));
+        ckpt::Serializer s;
+        s.u64(resv.size());
+        for (const auto &[start, end] : resv) {
+            s.u64(start);
+            s.u64(end);
+        }
+        const std::vector<std::uint8_t> words = s.buffer();
+        img.insert(img.begin() + static_cast<std::ptrdiff_t>(at),
+                   words.begin(), words.end());
+        return img;
+    }
+};
+
+/**
+ * Channel::restore sizes its bus-reservation list from a checkpoint
+ * word, so a CRC-valid image from another build must not reach the
+ * allocation with an impossible count. Unchecked, these counts ended
+ * in std::bad_alloc (2^40), ~770 MB of allocation before "truncated
+ * input" (5*10^7) and std::length_error (2^60 - 1).
+ */
+class BusResvCount : public BusTimeline,
+                     public ::testing::WithParamInterface<std::uint64_t>
+{
 };
 
 TEST_P(BusResvCount, ImpossibleCountIsATypedError)
@@ -346,6 +408,107 @@ INSTANTIATE_TEST_SUITE_P(Dram, BusResvCount,
                          ::testing::Values(std::uint64_t(1) << 40,
                                            std::uint64_t(50'000'000),
                                            (std::uint64_t(1) << 60) - 1));
+
+/**
+ * placeBus() needs sorted, disjoint, non-empty intervals, so restore
+ * refuses an empty one or one that starts before its predecessor
+ * ends. Touching intervals, which back-to-back bursts leave, restore
+ * and save back byte for byte.
+ */
+TEST_F(BusTimeline, MalformedIntervalIsATypedError)
+{
+    const DramConfig cfg = presets::ddr4_2400();
+    const std::vector<std::uint8_t> img = image(cfg);
+    const struct
+    {
+        std::vector<std::pair<Tick, Tick>> resv;
+        const char *what;
+    } cases[] = {
+        {{{100, 100}}, "bus reservation 0 [100, 100) is empty"},
+        {{{200, 100}}, "bus reservation 0 [200, 100) is empty"},
+        {{{0, 100}, {150, 150}}, "bus reservation 1 [150, 150) is empty"},
+        {{{0, 100}, {99, 150}},
+         "bus reservation 1 [99, 150) overlaps the one before it"},
+        {{{0, 100}, {200, 300}, {250, 260}},
+         "bus reservation 2 [250, 260) overlaps the one before it"},
+    };
+    for (const auto &c : cases) {
+        EventQueue eq;
+        DramSystem mem(eq, cfg);
+        const std::vector<std::uint8_t> bad = withTimeline(cfg, img, c.resv);
+        ckpt::Deserializer d(bad);
+        try {
+            mem.restore(d);
+            ADD_FAILURE() << c.what << ": accepted";
+        } catch (const ckpt::CkptError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.what),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST_F(BusTimeline, TouchingIntervalsRestoreAndSaveBack)
+{
+    const DramConfig cfg = presets::ddr4_2400();
+    const std::vector<std::uint8_t> img = withTimeline(
+        cfg, image(cfg), {{0, 100}, {100, 200}, {200, 300}, {400, 401}});
+    EventQueue eq;
+    DramSystem mem(eq, cfg);
+    ckpt::Deserializer d(img);
+    mem.restore(d);
+    EXPECT_TRUE(d.atEnd());
+    ckpt::Serializer again;
+    mem.save(again);
+    EXPECT_EQ(again.buffer(), img);
+}
+
+/**
+ * The scheduler ranks from per-bank records that Channel::restore
+ * re-derives from the restored banks. Restored from an image with
+ * open rows, a system must schedule the same requests at the same
+ * ticks as the live one it was saved from.
+ */
+TEST_F(DramSystemTest, RestoredBanksScheduleLikeTheLiveOnes)
+{
+    // Under DDR4-2400's geometry, i * 4 KiB maps to bank i % 16, row
+    // i / 16: the warm traffic opens row 0 of sixteen banks.
+    const DramConfig cfg = presets::ddr4_2400();
+    DramSystem live(eq, cfg);
+    for (int i = 0; i < 16; ++i)
+        live.access(static_cast<Addr>(i) * 4096, false);
+    eq.run();
+    const Tick at = eq.now();
+    ASSERT_GT(at, 0u);
+    ckpt::Serializer s;
+    live.save(s);
+    const std::vector<std::uint8_t> img = s.buffer();
+
+    EventQueue eq2;
+    DramSystem restored(eq2, cfg);
+    ckpt::Deserializer d(img);
+    restored.restore(d);
+    eq2.schedule(at, [] {});
+    eq2.run();
+    ASSERT_EQ(eq2.now(), at);
+
+    // Row 1 of each bank index first (a conflict or a page-empty
+    // bank), then the open rows: FR-FCFS serves the row hits ahead of
+    // the older requests only where the restored banks rank as open.
+    auto drive = [](EventQueue &q, DramSystem &mem) {
+        std::vector<std::pair<Tick, int>> done;
+        for (int k = 0; k < 32; ++k) {
+            const int i = k < 16 ? k + 16 : k - 16;
+            mem.access(static_cast<Addr>(i) * 4096, false,
+                       [&done, &q, k] { done.emplace_back(q.now(), k); });
+        }
+        q.run();
+        return done;
+    };
+    const std::vector<std::pair<Tick, int>> want = drive(eq, live);
+    ASSERT_EQ(want.size(), 32u);
+    EXPECT_EQ(drive(eq2, restored), want);
+}
 
 } // namespace
 } // namespace dapsim
