@@ -143,19 +143,6 @@ class AssocCache
             nru_[set] = bit;
     }
 
-    /** Hint the hardware to fetch the first tag, state and payload
-     *  lines of @p set ahead of a lookup (no architectural effect). */
-    void
-    prefetchSet(std::uint64_t set) const
-    {
-        const std::size_t idx = set * ways_;
-        __builtin_prefetch(&tags_[idx]);
-        __builtin_prefetch(&valid_[set]);
-        __builtin_prefetch(&nru_[set]);
-        __builtin_prefetch(&lastUse_[idx]);
-        __builtin_prefetch(&values_[idx]);
-    }
-
     /** Find a line; returns nullptr on miss. Does not update recency. */
     Value *
     find(std::uint64_t set, std::uint64_t tag)

@@ -39,7 +39,7 @@ payloadSizeHint(const SystemConfig &cfg)
         hint += cfg.sectored.footprint.tableEntries * 16;
         break;
       case MsArch::Alloy:
-        hint += cfg.alloy.capacityBytes / kBlockBytes * 20;
+        hint += cfg.alloy.capacityBytes / kBlockBytes * 8;
         hint += cfg.alloy.predictorEntries;
         break;
       case MsArch::Edram:

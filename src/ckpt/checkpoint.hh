@@ -1,6 +1,6 @@
 /**
  * @file
- * The `dapsim.ckpt.v2` checkpoint format and its high-level API.
+ * The `dapsim.ckpt.v3` checkpoint format and its high-level API.
  *
  * A checkpoint captures a System at its quiescent point — tick 0,
  * after functional warm-up, before run() — so a restored run continues
@@ -11,8 +11,8 @@
  * spans, so a restore is a handful of memcpys out of the payload —
  * which CheckpointView/readFileMapped can leave memory-mapped on disk
  * instead of copying onto the heap (DESIGN.md §14). A file of any
- * other version, including the retired per-primitive version 1, is
- * refused with a CkptError.
+ * other version, including the retired versions 1 and 2, is refused
+ * with a CkptError.
  *
  * Two hashes guard restores:
  *  - stateHash covers everything the warm state depends on: the

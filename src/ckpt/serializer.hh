@@ -1,6 +1,6 @@
 /**
  * @file
- * Binary serialization primitives for the `dapsim.ckpt.v2` checkpoint
+ * Binary serialization primitives for the `dapsim.ckpt.v3` checkpoint
  * payload: fixed-width primitives plus bulk spans (see DESIGN.md §14).
  *
  * A Serializer appends fixed-width little-endian primitives into a
@@ -52,12 +52,14 @@ class CkptError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** The payload encoding this build writes and reads: the "v2" in
- *  `dapsim.ckpt.v2`, and the checkpoint header's version field. */
-inline constexpr std::uint32_t kVersion = 2;
+/** The payload encoding this build writes and reads: the "v3" in
+ *  `dapsim.ckpt.v3`, and the checkpoint header's version field. */
+inline constexpr std::uint32_t kVersion = 3;
 
-/** Throw unless @p version is kVersion. The per-primitive version 1
- *  encoding is retired: such files are refused, not decoded. */
+/** Throw unless @p version is kVersion. Older encodings are retired
+ *  (version 1: per-primitive lines; version 2: the Alloy directory as
+ *  a one-way set-associative one): such files are refused, not
+ *  decoded. */
 inline void
 checkVersion(std::uint32_t version)
 {

@@ -128,8 +128,8 @@ Channel::pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
     return best;
 }
 
-Tick
-Channel::placeBus(Tick ready, Tick occ, bool reserve)
+Channel::BusSlot
+Channel::placeBus(Tick ready, Tick occ)
 {
     // Sorted, disjoint reservations: the expired ones (end <= now)
     // form a prefix, and could not move a placement (ready > now)
@@ -139,26 +139,26 @@ Channel::placeBus(Tick ready, Tick occ, bool reserve)
     while (live != busResv_.end() && live->second <= now)
         ++live;
     busResv_.erase(busResv_.begin(), live);
+    return placeBus(BusSlot{ready, 0}, occ);
+}
 
-    Tick start = ready;
-    std::size_t pos = 0;
-    for (; pos < busResv_.size(); ++pos) {
-        const auto &[s, e] = busResv_[pos];
-        if (start + occ <= s)
+Channel::BusSlot
+Channel::placeBus(BusSlot from, Tick occ) const
+{
+    BusSlot at = from;
+    for (; at.pos < busResv_.size(); ++at.pos) {
+        const auto &[s, e] = busResv_[at.pos];
+        if (at.start + occ <= s)
             break; // fits in the gap before this reservation
-        if (start < e)
-            start = e; // overlap: push past it
+        if (at.start < e)
+            at.start = e; // overlap: push past it
     }
-    if (reserve) {
-        busResv_.insert(busResv_.begin() +
-                            static_cast<std::ptrdiff_t>(pos),
-                        {start, start + occ});
-    }
-    return start;
+    return at;
 }
 
 void
-Channel::issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite)
+Channel::issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite,
+               BusSlot tentative)
 {
     const HotReq req = q[idx];
     q.erase(idx);
@@ -176,7 +176,13 @@ Channel::issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite)
     }
     lastWasWrite_ = isWrite;
 
-    const Tick dataStart = placeBus(acc.dataReadyAt, occupancy, true);
+    // kick() placed a burst from the same data-ready tick this tick
+    // (the pick ranks from the floors reserve() reads), and nothing
+    // has touched the timeline since: resume its walk.
+    const BusSlot at = placeBus(tentative, occupancy);
+    busResv_.insert(busResv_.begin() + static_cast<std::ptrdiff_t>(at.pos),
+                    {at.start, at.start + occupancy});
+    const Tick dataStart = at.start;
     const Tick dataEnd = dataStart + occupancy;
     busBusy_ += occupancy;
 
@@ -256,21 +262,20 @@ Channel::kick()
             std::min<std::size_t>(fromWrites ? writeQ_.size() : readLen,
                                   cfg_.schedulerScanDepth));
 
-        const Tick start =
-            placeBus(p.dataReadyAt, bankTiming_.burst, false);
-        if (start > eq_.now() + maxAhead()) {
+        const BusSlot slot = placeBus(p.dataReadyAt, bankTiming_.burst);
+        if (slot.start > eq_.now() + maxAhead()) {
             kicksWait.inc();
-            scheduleKick(start - maxAhead());
+            scheduleKick(slot.start - maxAhead());
             return;
         }
 
         kicksIssue.inc();
         if (fromWrites)
-            issue(writeQ_, p.idx, true);
+            issue(writeQ_, p.idx, true, slot);
         else if (p.idx < readDemandQ_.size())
-            issue(readDemandQ_, p.idx, false);
+            issue(readDemandQ_, p.idx, false, slot);
         else
-            issue(readLowQ_, p.idx - readDemandQ_.size(), false);
+            issue(readLowQ_, p.idx - readDemandQ_.size(), false, slot);
     }
 }
 

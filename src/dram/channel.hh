@@ -180,14 +180,31 @@ class Channel
     Pick pickSpans(const std::pair<const HotReq *, std::size_t> *spans,
                    std::size_t nspans, std::size_t depth) const;
 
-    /**
-     * Find the earliest bus slot of length @p occ starting at or after
-     * @p ready. With @p reserve the slot is claimed.
-     */
-    Tick placeBus(Tick ready, Tick occ, bool reserve);
+    /** A place on the bus timeline: a start tick, and the index in
+     *  busResv_ of the first reservation a walk from it has yet to
+     *  clear. */
+    struct BusSlot
+    {
+        Tick start = 0;
+        std::size_t pos = 0;
+    };
 
-    /** Issue one request from @p q at position @p idx. */
-    void issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite);
+    /** Drop the expired reservations, then find the earliest bus slot
+     *  of @p occ ticks starting at or after @p ready. */
+    BusSlot placeBus(Tick ready, Tick occ);
+
+    /**
+     * Resume a walk of this tick from the slot @p from it found for a
+     * shorter (or equal) occupancy, and return the earliest slot of
+     * @p occ ticks. Exact: a gap the walk passed over did not fit the
+     * shorter occupancy, so it cannot fit @p occ either.
+     */
+    BusSlot placeBus(BusSlot from, Tick occ) const;
+
+    /** Issue one request from @p q at position @p idx; @p tentative is
+     *  kick()'s burst-length placement of it, made this tick. */
+    void issue(RingDeque<HotReq> &q, std::size_t idx, bool isWrite,
+               BusSlot tentative);
 
     /** Re-derive bank @p b's rank record after its state changed. */
     void

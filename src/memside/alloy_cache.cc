@@ -7,7 +7,7 @@ AlloyCache::AlloyCache(EventQueue &eq, DramSystem &main_memory,
                        PartitionPolicy &policy,
                        const AlloyCacheConfig &cfg)
     : MemSideCache(eq, main_memory, policy), cfg_(cfg),
-      array_(eq, cfg.array), dir_(cfg.numSets(), 1, ReplPolicy::LRU),
+      array_(eq, cfg.array), dir_(cfg.numSets()),
       dbc_(cfg.dbc), predictor_(cfg.predictorEntries, 3),
       predDiv_(FastDiv::of(predictor_.size()))
 {
@@ -74,8 +74,7 @@ AlloyCache::handleRead(Addr addr, Done done)
         mm_.config().burstTicks()) + mm_.meanReadLatency();
     steer.predictedHit = predictHit(addr);
     if (policy_.steerToMemory(addr, steer)) {
-        const Line *l = dir_.find(set, tagOf(addr));
-        if (l == nullptr || !l->dirty) {
+        if (!dir_.holds(set, tagOf(addr)) || !dir_.dirty(set)) {
             memAccess(addr, false, std::move(done));
             return;
         }
@@ -90,8 +89,8 @@ AlloyCache::handleRead(Addr addr, Done done)
     if (probe.hit && !probe.dirty && policy_.shouldForceReadMiss(addr)) {
         forcedReadMisses.inc();
         window_.aMs++; // the TAD read this access would have demanded
-        const Line *l = dir_.find(set, tagOf(addr));
-        if (l != nullptr) {
+        const bool hit = dir_.holds(set, tagOf(addr));
+        if (hit) {
             readHits.inc();
             window_.hits++;
             cleanReadHits.inc();
@@ -102,7 +101,7 @@ AlloyCache::handleRead(Addr addr, Done done)
             window_.aMm++;
             fillsBypassed.inc();
         }
-        trainPredictor(addr, l != nullptr);
+        trainPredictor(addr, hit);
         memAccess(addr, false, std::move(done));
         return;
     }
@@ -126,8 +125,7 @@ AlloyCache::resolveRead(Addr addr, std::uint32_t slot)
 {
     const std::uint64_t set = setOf(addr);
     const std::uint64_t tag = tagOf(addr);
-    Line *l = dir_.find(set, tag);
-    const bool hit = l != nullptr;
+    const bool hit = dir_.holds(set, tag);
     const bool early = speculating(slot);
     policy_.noteReadOutcome(addr, hit);
     trainPredictor(addr, hit);
@@ -139,11 +137,12 @@ AlloyCache::resolveRead(Addr addr, std::uint32_t slot)
     if (hit) {
         readHits.inc();
         window_.hits++;
-        if (!l->dirty) {
+        const bool dirty = dir_.dirty(set);
+        if (!dirty) {
             cleanReadHits.inc();
             window_.cleanHits++;
         }
-        dbc_.update(blockNumber(addr), l->dirty);
+        dbc_.update(blockNumber(addr), dirty);
         if (early)
             wastedEarlyReads.inc(); // speculative memory read dropped
         finishRead(slot); // data arrived with the TAD
@@ -173,8 +172,8 @@ AlloyCache::fill(Addr addr)
 
     // The victim's data came back with the lookup TAD, so a dirty
     // victim needs only the memory write.
-    auto victim = dir_.insert(set, tag, Line{});
-    if (victim.valid && victim.value.dirty) {
+    const DirectMappedDir::Victim victim = dir_.insert(set, tag);
+    if (victim.valid && victim.dirty) {
         window_.aMm++;
         dirtyWritebacks.inc();
         const Addr vaddr = victim.tag << kBlockShift;
@@ -192,14 +191,12 @@ AlloyCache::warmTouch(Addr addr, bool is_write)
 {
     const std::uint64_t set = setOf(addr);
     const std::uint64_t tag = tagOf(addr);
-    std::uint32_t way = dir_.lookup(set, tag);
-    const bool hit = way != dir_.kNoWay;
+    const bool hit = dir_.holds(set, tag);
     if (!hit) // direct-mapped: replaces the victim
-        dir_.insertAbsent(set, tag, Line{}, way);
-    Line &l = dir_.valueAt(set, way);
+        dir_.insert(set, tag);
     if (is_write)
-        l.dirty = true;
-    dbc_.update(blockNumber(addr), l.dirty);
+        dir_.setDirty(set, true);
+    dbc_.update(blockNumber(addr), dir_.dirty(set));
     trainPredictor(addr, true);
     return hit;
 }
@@ -207,12 +204,12 @@ AlloyCache::warmTouch(Addr addr, bool is_write)
 void
 AlloyCache::warmApply(const WarmAccess *ops, std::size_t n)
 {
-    // The directory is one set per block (megabytes of SoA arrays), so
-    // a touch is mostly cache misses: fetch a few sets ahead.
+    // The directory is one word per block (megabytes), so a touch is
+    // mostly cache misses: fetch a few sets ahead.
     constexpr std::size_t kAhead = 8;
     for (std::size_t i = 0; i < n; ++i) {
         if (i + kAhead < n)
-            dir_.prefetchSet(setOf(ops[i + kAhead].addr));
+            dir_.prefetch(setOf(ops[i + kAhead].addr));
         AlloyCache::warmTouch(ops[i].addr, ops[i].isWrite);
     }
 }
@@ -233,8 +230,7 @@ AlloyCache::handleWrite(Addr addr)
     policy_.noteWrite(addr);
     window_.writes++;
 
-    Line *l = dir_.find(set, tag);
-    const bool present = l != nullptr;
+    const bool present = dir_.holds(set, tag);
 
     if (!present && !cfg_.presenceBit) {
         // Without the BEAR presence bit the TAD must be fetched to
@@ -248,8 +244,8 @@ AlloyCache::handleWrite(Addr addr)
         window_.hits++;
         window_.aMs++;
         const bool write_through = policy_.shouldWriteThrough(addr);
-        l->dirty = !write_through;
-        dbc_.update(blockNumber(addr), l->dirty);
+        dir_.setDirty(set, !write_through);
+        dbc_.update(blockNumber(addr), !write_through);
         array_.access(tadAddr(set), true, nullptr, cfg_.tadExtraClocks);
         if (write_through)
             memAccess(addr, true);
@@ -261,17 +257,16 @@ AlloyCache::handleWrite(Addr addr)
     writeMisses.inc();
     window_.aMs++;
     array_.access(tadAddr(set), false, nullptr, cfg_.tadExtraClocks);
-    auto victim = dir_.insert(set, tag, Line{});
-    if (victim.valid && victim.value.dirty) {
+    const DirectMappedDir::Victim victim = dir_.insert(set, tag);
+    if (victim.valid && victim.dirty) {
         window_.aMm++;
         dirtyWritebacks.inc();
         const Addr vaddr = victim.tag << kBlockShift;
         memAccess(vaddr, true);
     }
-    Line *nl = dir_.find(set, tag);
     const bool write_through = policy_.shouldWriteThrough(addr);
-    nl->dirty = !write_through;
-    dbc_.update(blockNumber(addr), nl->dirty);
+    dir_.setDirty(set, !write_through);
+    dbc_.update(blockNumber(addr), !write_through);
     window_.aMs++;
     array_.access(tadAddr(set), true, nullptr, cfg_.tadExtraClocks);
     if (write_through)
@@ -283,9 +278,7 @@ AlloyCache::save(ckpt::Serializer &s) const
 {
     saveBase(s);
     array_.save(s);
-    dir_.save(s, [](ckpt::Serializer &sr, const Line &l) {
-        sr.boolean(l.dirty);
-    });
+    dir_.save(s);
     dbc_.save(s);
     s.bytes(predictor_.data(), predictor_.size());
     s.u64(predictorHits.value());
@@ -299,8 +292,8 @@ AlloyCache::restore(ckpt::Deserializer &d)
 {
     restoreBase(d);
     array_.restore(d);
-    dir_.restore(d, [](ckpt::Deserializer &dr, Line &l) {
-        l.dirty = dr.boolean();
+    dir_.restore(d, [this](std::uint64_t tag) {
+        return setOf(tag << kBlockShift);
     });
     dbc_.restore(d);
     const std::vector<std::uint8_t> pred = d.bytes();

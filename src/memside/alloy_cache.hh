@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/assoc_cache.hh"
+#include "cache/direct_mapped_dir.hh"
 #include "cache/dirty_bit_cache.hh"
 #include "dram/presets.hh"
 #include "memside/ms_cache.hh"
@@ -86,11 +86,6 @@ class AlloyCache final : public MemSideCache
     Counter wastedEarlyReads; ///< predicted-miss reads that hit after all
 
   private:
-    struct Line
-    {
-        bool dirty = false;
-    };
-
     std::uint64_t setOf(Addr a) const
     {
         return dir_.mapSet(indexHash(blockNumber(a)));
@@ -116,7 +111,7 @@ class AlloyCache final : public MemSideCache
 
     AlloyCacheConfig cfg_;
     DramSystem array_;
-    AssocCache<Line> dir_;
+    DirectMappedDir dir_;
     DirtyBitCache dbc_;
     std::vector<std::uint8_t> predictor_;
     /** Region-hash reduction by the predictor size (see

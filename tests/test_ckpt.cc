@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the checkpoint subsystem: serializer framing, the
- * dapsim.ckpt.v2 container, bit-identical save/restore across every
+ * dapsim.ckpt.v3 container, bit-identical save/restore across every
  * MS$ architecture and partitioning policy, mismatch rejection, and
  * the sweep runner's warmup-fork mode.
  */
@@ -643,28 +643,32 @@ writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
               static_cast<std::streamsize>(b.size()));
 }
 
-/** The retired per-primitive version 1 is refused by every reader,
- *  with a message that names the version and the way out. */
-TEST(CkptV2, VersionOneFilesAreRefused)
+/** A retired @p version is refused by every reader, with a message
+ *  that names the version and the way out. */
+void
+expectVersionRefused(std::uint8_t version)
 {
     std::vector<std::uint8_t> bytes = ckpt::encode(
         ckpt::makeWarmupCheckpoint(noneTiny(), tinyMix("mcf"), kInstr,
                                    0));
-    setVersionByte(bytes, 1);
-    auto expectRefused = [](const std::function<void()> &read) {
+    setVersionByte(bytes, version);
+    const std::string named = "version " + std::to_string(version) + " ";
+    auto expectRefused = [&](const std::function<void()> &read) {
         try {
             read();
-            ADD_FAILURE() << "a version-1 checkpoint was accepted";
+            ADD_FAILURE() << "a version-" << int(version)
+                          << " checkpoint was accepted";
         } catch (const ckpt::CkptError &e) {
             const std::string msg = e.what();
-            EXPECT_NE(msg.find("version 1 "), std::string::npos) << msg;
+            EXPECT_NE(msg.find(named), std::string::npos) << msg;
             EXPECT_NE(msg.find("dapsim --save-ckpt"), std::string::npos)
                 << msg;
         }
     };
     expectRefused([&] { (void)ckpt::decode(bytes); });
     const std::string path =
-        (std::filesystem::temp_directory_path() / "dapsim_v1.ckpt")
+        (std::filesystem::temp_directory_path() /
+         ("dapsim_v" + std::to_string(version) + ".ckpt"))
             .string();
     writeBytes(path, bytes);
     expectRefused([&] { (void)ckpt::readFile(path); });
@@ -672,13 +676,15 @@ TEST(CkptV2, VersionOneFilesAreRefused)
     std::filesystem::remove(path);
 }
 
-/** A version-1 file in a warmup-fork --ckpt-dir is treated as missing:
- *  the sweep warms up once, replaces it, and its rows equal those of a
- *  sweep that started from an empty directory. */
-TEST(CkptV2, VersionOneFileInCkptDirIsRegenerated)
+/** A file of a retired @p version in a warmup-fork --ckpt-dir is
+ *  treated as missing: the sweep warms up once, replaces it, and its
+ *  rows equal those of a sweep that started from an empty directory. */
+void
+expectStaleVersionRegenerated(std::uint8_t version)
 {
     const std::string dir =
-        (std::filesystem::temp_directory_path() / "dapsim_v1_ckpt_dir")
+        (std::filesystem::temp_directory_path() /
+         ("dapsim_v" + std::to_string(version) + "_ckpt_dir"))
             .string();
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -702,12 +708,29 @@ TEST(CkptV2, VersionOneFileInCkptDirIsRegenerated)
     ASSERT_EQ(files.size(), 1u);
     const std::string path = files[0].string();
     std::vector<std::uint8_t> bytes = ckpt::encode(ckpt::readFile(path));
-    setVersionByte(bytes, 1);
+    setVersionByte(bytes, version);
     writeBytes(path, bytes);
 
     EXPECT_EQ(sweep(1), fresh);
     EXPECT_EQ(ckpt::readFile(path).header.version, ckpt::kVersion);
     std::filesystem::remove_all(dir);
+}
+
+/** Version 1, the per-primitive encoding. */
+TEST(CkptV2, VersionOneFilesAreRefused) { expectVersionRefused(1); }
+
+TEST(CkptV2, VersionOneFileInCkptDirIsRegenerated)
+{
+    expectStaleVersionRegenerated(1);
+}
+
+/** Version 2, whose Alloy directory section is a one-way
+ *  set-associative directory. */
+TEST(CkptV2, VersionTwoFilesAreRefused) { expectVersionRefused(2); }
+
+TEST(CkptV2, VersionTwoFileInCkptDirIsRegenerated)
+{
+    expectStaleVersionRegenerated(2);
 }
 
 /** Forks skip the policy section and seed other policies. */

@@ -5,7 +5,7 @@
  * System::warmup must leave byte-for-byte the same state however it is
  * implemented. This pins that state: for every (architecture, workload,
  * warm-up length) below it builds a System the way `dapsim` does,
- * warms it, captures a dapsim.ckpt.v2 checkpoint and compares the
+ * warms it, captures a dapsim.ckpt.v3 checkpoint and compares the
  * FNV-1a 64 digest of the encoded bytes (what `--save-ckpt` writes)
  * against tests/golden/warm_state.digests.txt.
  *
@@ -76,7 +76,7 @@ void
 storeDigests(const std::map<std::string, std::string> &digests)
 {
     std::ofstream os(digestPath());
-    os << "# FNV-1a 64 of post-warm-up dapsim.ckpt.v2 bytes; "
+    os << "# FNV-1a 64 of post-warm-up dapsim.ckpt.v3 bytes; "
           "see tests/test_warm_state_golden.cc\n";
     for (const auto &[key, value] : digests)
         os << key << ' ' << value << '\n';
