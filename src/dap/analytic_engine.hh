@@ -94,12 +94,9 @@ class AnalyticEngine
     double msReadsPerInstr() const { return msR_; }
     double msWritesPerInstr() const { return msW_; }
     double mmReadsPerInstr() const { return mmR_; }
-    double mmWritesPerInstr() const { return mmW_; }
     double remReadsPerInstr() const { return remR_; }
-    double remWritesPerInstr() const { return remW_; }
     double mmPerInstr() const { return mmR_ + mmW_; }
     double remotePerInstr() const { return remR_ + remW_; }
-    double detailedIpc() const { return ipcDet_; }
 
   private:
     double ewma(double prev, double next) const;

@@ -10,11 +10,45 @@ SectoredDramCache::SectoredDramCache(EventQueue &eq,
     : MemSideCache(eq, main_memory, policy), cfg_(cfg),
       secDiv_(FastDiv::of(cfg.sectorBytes)),
       wayDiv_(FastDiv::of(cfg.ways)),
-      array_(eq, cfg.array),
+      array_(eq, cfg.array), writeArray_(&array_),
       dir_(cfg.numSets(), cfg.ways, ReplPolicy::NRU),
       tagCache_(cfg.tagCache),
       footprint_(cfg.footprint, cfg.blocksPerSector())
 {
+}
+
+namespace
+{
+
+/** The eDRAM cache's geometry in the DRAM cache's terms: the read
+ *  channels stand as the array, and there is no tag cache. */
+SectoredDramCacheConfig
+edramGeometry(const EdramCacheConfig &e)
+{
+    SectoredDramCacheConfig g;
+    g.capacityBytes = e.capacityBytes;
+    g.ways = e.ways;
+    g.sectorBytes = e.sectorBytes;
+    g.array = e.readChannels;
+    g.tagCache.entries = 0;
+    g.tagCache.enabled = false;
+    g.footprint = e.footprint;
+    return g;
+}
+
+} // namespace
+
+SectoredDramCache::SectoredDramCache(EventQueue &eq,
+                                     DramSystem &main_memory,
+                                     PartitionPolicy &policy,
+                                     const EdramCacheConfig &cfg)
+    : SectoredDramCache(eq, main_memory, policy, edramGeometry(cfg))
+{
+    writeChannels_.emplace(eq, cfg.writeChannels);
+    writeArray_ = &*writeChannels_;
+    split_ = 1;
+    onDieTags_ = true;
+    onDieLookup_ = cpuCyclesToTicks(cfg.tagLookupCycles);
 }
 
 Addr
@@ -39,9 +73,11 @@ SectoredDramCache::metaAddr(std::uint64_t set) const
 void
 SectoredDramCache::markMetaDirty(std::uint64_t set)
 {
+    // On-die tags come with the tag cache disabled, so the DRAM
+    // cache's path tests only the first flag.
     if (cfg_.tagCache.enabled) {
         tagCache_.markDirty(set);
-    } else {
+    } else if (!onDieTags_) {
         issueMetaWrite(set);
     }
 }
@@ -112,8 +148,13 @@ SectoredDramCache::handleRead(Addr addr, Done done)
     }
 
     const std::uint32_t slot = parkRead(std::move(done));
-    lookupTags(addr, [this, addr, slot] { resolveRead(addr, slot); },
-               slot);
+    auto resolve = [this, addr, slot] { resolveRead(addr, slot); };
+    if (onDieTags_) {
+        // On-die SRAM tags: pure latency, no array bandwidth.
+        eq_.scheduleAfter(onDieLookup_, resolve);
+        return;
+    }
+    lookupTags(addr, resolve, slot);
 }
 
 void
@@ -131,6 +172,7 @@ SectoredDramCache::resolveRead(Addr addr, std::uint32_t slot)
         readHits.inc();
         window_.hits++;
         window_.aMs++; // data-read demand on the cache
+        window_.aMsRead += split_;
         dir_.touch(set, tag);
         m->touch(blk);
         const bool clean = !m->isDirty(blk);
@@ -180,12 +222,12 @@ SectoredDramCache::resolveRead(Addr addr, std::uint32_t slot)
     if (speculating(slot)) {
         // The SFRM read doubles as the demand fetch.
         if (fill)
-            array_.access(dataAddr(sec, blk), true);
+            writeArray_->access(dataAddr(sec, blk), true);
         serveFromFetch(slot);
     } else {
         memAccess(addr, false, [this, sec, blk, fill, slot] {
             if (fill)
-                array_.access(dataAddr(sec, blk), true);
+                writeArray_->access(dataAddr(sec, blk), true);
             finishRead(slot);
         });
     }
@@ -199,6 +241,7 @@ SectoredDramCache::launchFill(std::uint64_t sec, std::uint32_t blk)
     // the array write bandwidth is charged when the data arrives.
     window_.readMisses++; // fill candidate (R_m)
     window_.aMs++;        // prospective fill-write demand
+    window_.aMsWrite += split_;
     const std::uint64_t set = setOf(sec);
     SectorMeta *m = dir_.find(set, tagOf(sec));
     if (m == nullptr)
@@ -223,19 +266,23 @@ SectoredDramCache::writebackVictim(std::uint64_t set,
     sectorEvictions.inc();
     const std::uint64_t vsec = sectorNumberFrom(set, victim_tag);
     footprint_.recordEviction(vsec, meta.touchedMask);
-    for (std::uint32_t b = 0; b < cfg_.blocksPerSector(); ++b) {
-        if (!meta.isDirty(b))
-            continue;
-        // Dirty block: read it out of the array, then write to memory.
-        window_.aMs++; // eviction read demand
-        window_.aMm++; // write-back demand
-        const Addr waddr = vsec * cfg_.sectorBytes +
-                           static_cast<Addr>(b) * kBlockBytes;
-        array_.access(dataAddr(vsec, b), false, [this, waddr] {
-            dirtyWritebacks.inc();
-            memAccess(waddr, true);
-        });
-    }
+    for (std::uint32_t b = 0; b < cfg_.blocksPerSector(); ++b)
+        if (meta.isDirty(b))
+            writebackBlock(vsec, b);
+}
+
+void
+SectoredDramCache::writebackBlock(std::uint64_t sec, std::uint32_t blk)
+{
+    window_.aMs++; // read-out demand
+    window_.aMsRead += split_;
+    window_.aMm++; // write-back demand
+    const Addr waddr = sec * cfg_.sectorBytes +
+                       static_cast<Addr>(blk) * kBlockBytes;
+    array_.access(dataAddr(sec, blk), false, [this, waddr] {
+        dirtyWritebacks.inc();
+        memAccess(waddr, true);
+    });
 }
 
 bool
@@ -271,7 +318,7 @@ SectoredDramCache::allocateSector(Addr addr, std::uint64_t sec,
         const Addr baddr = sec * cfg_.sectorBytes +
                            static_cast<Addr>(b) * kBlockBytes;
         memAccess(baddr, false, [this, sec, b] {
-            array_.access(dataAddr(sec, b), true);
+            writeArray_->access(dataAddr(sec, b), true);
         }, /*low_priority=*/true);
     }
     return demand_fill;
@@ -294,11 +341,14 @@ SectoredDramCache::handleWrite(Addr addr)
 
     policy_.noteWrite(addr);
     window_.aMs++;   // write demand on the cache
+    window_.aMsWrite += split_;
     window_.writes++;
 
     // Writes are posted: tag lookup bandwidth is charged, but the
-    // directory is updated immediately (metadata pipelining).
-    lookupTags(addr, [] {});
+    // directory is updated immediately (metadata pipelining). On-die
+    // tags cost no bandwidth, so there is nothing to charge.
+    if (!onDieTags_)
+        lookupTags(addr, [] {});
 
     SectorMeta *m = dir_.find(set, tag);
     if (m != nullptr) {
@@ -318,7 +368,7 @@ SectoredDramCache::handleWrite(Addr addr)
         }
         m->setDirty(blk);
         markMetaDirty(set);
-        array_.access(dataAddr(sec, blk), true);
+        writeArray_->access(dataAddr(sec, blk), true);
         if (policy_.shouldWriteThrough(addr)) {
             // SBD write-through mode: memory stays current, line clean.
             memAccess(addr, true);
@@ -348,7 +398,7 @@ SectoredDramCache::handleWrite(Addr addr)
     } else {
         nm->setDirty(blk);
     }
-    array_.access(dataAddr(sec, blk), true);
+    writeArray_->access(dataAddr(sec, blk), true);
 }
 
 bool
@@ -359,7 +409,8 @@ SectoredDramCache::warmTouch(Addr addr, bool is_write)
     const std::uint64_t tag = tagOf(sec);
     const std::uint32_t blk = blkOf(addr);
 
-    tagCache_.access(set); // warm the tag cache (stats reset later)
+    if (!onDieTags_)
+        tagCache_.access(set); // warm the tag cache (stats reset later)
 
     std::uint32_t way = dir_.lookup(set, tag);
     bool hit = false;
@@ -400,18 +451,9 @@ SectoredDramCache::cleanSector(Addr addr_in_sector)
     SectorMeta *m = dir_.find(set, tagOf(sec));
     if (m == nullptr || !m->anyDirty())
         return;
-    for (std::uint32_t b = 0; b < cfg_.blocksPerSector(); ++b) {
-        if (!m->isDirty(b))
-            continue;
-        window_.aMs++;
-        window_.aMm++;
-        const Addr waddr = sec * cfg_.sectorBytes +
-                           static_cast<Addr>(b) * kBlockBytes;
-        array_.access(dataAddr(sec, b), false, [this, waddr] {
-            dirtyWritebacks.inc();
-            memAccess(waddr, true);
-        });
-    }
+    for (std::uint32_t b = 0; b < cfg_.blocksPerSector(); ++b)
+        if (m->isDirty(b))
+            writebackBlock(sec, b);
     m->dirtyMask = 0;
     markMetaDirty(set);
 }
@@ -430,11 +472,19 @@ SectoredDramCache::save(ckpt::Serializer &s) const
 {
     saveBase(s);
     array_.save(s);
+    if (writeChannels_)
+        writeChannels_->save(s);
     dir_.save(s, [](ckpt::Serializer &sr, const SectorMeta &m) {
         sr.u64(m.validMask);
         sr.u64(m.dirtyMask);
         sr.u64(m.touchedMask);
     });
+    if (onDieTags_) {
+        // The eDRAM layout has no tag cache and no steer counters:
+        // the counters are zero at the tick-0 quiescent point.
+        footprint_.save(s);
+        return;
+    }
     tagCache_.save(s);
     footprint_.save(s);
     s.u64(steeredToMemory.value());
@@ -446,11 +496,17 @@ SectoredDramCache::restore(ckpt::Deserializer &d)
 {
     restoreBase(d);
     array_.restore(d);
+    if (writeChannels_)
+        writeChannels_->restore(d);
     dir_.restore(d, [](ckpt::Deserializer &dr, SectorMeta &m) {
         m.validMask = dr.u64();
         m.dirtyMask = dr.u64();
         m.touchedMask = dr.u64();
     });
+    if (onDieTags_) {
+        footprint_.restore(d);
+        return;
+    }
     tagCache_.restore(d);
     footprint_.restore(d);
     steeredToMemory.set(d.u64());

@@ -1,22 +1,37 @@
 /**
  * @file
- * Sectored die-stacked DRAM cache (paper Sections II, IV-A, VI-A).
+ * Sectored memory-side caches (paper Sections II, IV-A, IV-C, VI-A,
+ * VI-C): the die-stacked DRAM cache and the eDRAM cache.
  *
- * A 4-way set-associative cache with 4 KB sectors, NRU replacement,
- * metadata resident in the DRAM array (filtered by an SRAM tag cache),
- * footprint-prefetcher fills, and a single bidirectional set of HBM
- * channels serving reads, writes, fills, evictions and metadata.
+ * Both are set-associative with NRU replacement, per-block valid and
+ * dirty bits in each sector, and footprint-prefetcher fills. The two
+ * organizations differ in where the tags live and how the channels
+ * are wired, and both differences are fixed at construction:
  *
- * All of DAP's four techniques apply here: FWB on fills, WB on incoming
- * dirty L3 evictions, IFRM on known-clean read hits, SFRM on reads that
- * miss the tag cache. The controller also provides the hooks used by
- * the SBD and BATMAN comparison policies.
+ *  - DRAM cache (SectoredDramCacheConfig): 4-way, 4 KB sectors,
+ *    metadata resident in the DRAM array behind an SRAM tag cache, and
+ *    one bidirectional set of HBM channels serving reads, writes,
+ *    fills, evictions and metadata.
+ *  - eDRAM cache (EdramCacheConfig; Crystalwell/Skylake-style): 16-way,
+ *    1 KB sectors, metadata in on-die SRAM (a fixed lookup latency, no
+ *    metadata CAS traffic, hence no SFRM), and split channel sets:
+ *    hits and eviction read-outs use the read channels, fills and
+ *    incoming writes the write channels, so the system has three
+ *    bandwidth sources beyond the SRAM hierarchy and DAP uses the
+ *    three-source solver.
+ *
+ * DAP's techniques apply wherever their decision point exists: FWB on
+ * fills, WB on incoming dirty L3 evictions, IFRM on known-clean read
+ * hits, SFRM on reads that miss the tag cache. The controller also
+ * provides the hooks used by the SBD and BATMAN comparison policies,
+ * on both organizations.
  */
 
 #ifndef DAPSIM_MEMSIDE_SECTORED_DRAM_CACHE_HH
 #define DAPSIM_MEMSIDE_SECTORED_DRAM_CACHE_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "cache/assoc_cache.hh"
 #include "cache/sector.hh"
@@ -49,28 +64,68 @@ struct SectoredDramCacheConfig
     }
 };
 
-/** The sectored DRAM cache controller. */
+/** Configuration of the sectored eDRAM cache. */
+struct EdramCacheConfig
+{
+    /** Scaled default: 4 MB stands in for the paper's 256 MB. */
+    std::uint64_t capacityBytes = 4 * kMiB;
+    std::uint32_t ways = 16;
+    std::uint64_t sectorBytes = 1 * kKiB;
+
+    DramConfig readChannels = presets::edram_dir_51();
+    DramConfig writeChannels = presets::edram_dir_51();
+
+    /** On-die SRAM metadata lookup, CPU cycles at 4 GHz. */
+    Cycle tagLookupCycles = 8;
+
+    FootprintConfig footprint{};
+
+    std::uint64_t numSectors() const { return capacityBytes / sectorBytes; }
+    std::uint64_t numSets() const { return numSectors() / ways; }
+    std::uint32_t
+    blocksPerSector() const
+    {
+        return static_cast<std::uint32_t>(sectorBytes / kBlockBytes);
+    }
+};
+
+/** The sectored MS$ controller (DRAM cache or eDRAM cache). */
 class SectoredDramCache final : public MemSideCache
 {
   public:
+    /** The DRAM cache: tag cache, one bidirectional array. */
     SectoredDramCache(EventQueue &eq, DramSystem &main_memory,
                       PartitionPolicy &policy,
                       const SectoredDramCacheConfig &cfg);
 
+    /** The eDRAM cache: on-die tags, split read/write channels. */
+    SectoredDramCache(EventQueue &eq, DramSystem &main_memory,
+                      PartitionPolicy &policy,
+                      const EdramCacheConfig &cfg);
+
     void handleRead(Addr addr, Done done) override;
     void handleWrite(Addr addr) override;
-    std::uint64_t arrayCasOps() const override { return array_.casOps(); }
 
-    DramSystem &array() { return array_; }
-    TagCache &tagCache() { return tagCache_; }
-    const SectoredDramCacheConfig &config() const { return cfg_; }
-
-    /** Peak array bandwidth in accesses per CPU cycle (for DapConfig). */
-    double
-    arrayPeakAccPerCycle() const
+    std::uint64_t
+    arrayCasOps() const override
     {
-        return cfg_.array.peakAccessesPerCpuCycle();
+        return split_ ? array_.casOps() + writeArray_->casOps()
+                      : array_.casOps();
     }
+
+    /** The array; on the eDRAM cache, its read channels. */
+    DramSystem &array() { return array_; }
+    /** Channels serving hits and read-outs (array() on both). */
+    DramSystem &readArray() { return array_; }
+    /** Channels serving fills and writes (array() unless split). */
+    DramSystem &writeArray() { return *writeArray_; }
+    /** Whether reads and writes use separate channel sets. */
+    bool splitChannels() const { return split_; }
+    /** The tag cache; never consulted with on-die tags. */
+    TagCache &tagCache() { return tagCache_; }
+    /** The geometry; on the eDRAM cache, `array` is its read channels
+     *  and `tagCache` is disabled. */
+    const SectoredDramCacheConfig &config() const { return cfg_; }
 
     /** Write back all dirty blocks of a sector and mark them clean
      *  (SBD forced cleaning). No-op if the sector is absent. */
@@ -86,7 +141,8 @@ class SectoredDramCache final : public MemSideCache
     void
     creditFastForward(std::uint64_t reads, std::uint64_t writes) override
     {
-        array_.creditFastForward(reads, writes);
+        array_.creditFastForward(reads, 0);
+        writeArray_->creditFastForward(0, writes);
     }
 
     /** Test/diagnostic probe: is this block valid in the cache? */
@@ -138,7 +194,8 @@ class SectoredDramCache final : public MemSideCache
      *  @return true when the block will be filled. */
     bool launchFill(std::uint64_t sec, std::uint32_t blk);
 
-    /** Record a metadata mutation (tag-cache dirty or direct write). */
+    /** Record a metadata mutation (tag-cache dirty or direct write;
+     *  nothing for on-die tags). */
     void markMetaDirty(std::uint64_t set);
 
     /** Charge a metadata write-back CAS. */
@@ -147,9 +204,10 @@ class SectoredDramCache final : public MemSideCache
     /** No parked read: a write's tag lookup never speculates. */
     static constexpr std::uint32_t kNoRead = ~std::uint32_t(0);
 
-    /** Run tag lookup; calls @p next once metadata is available. On a
-     *  metadata fetch, parked read @p read may launch SFRM's memory
-     *  read. */
+    /** Run the DRAM cache's tag lookup (tag cache, else a metadata
+     *  fetch from the array); calls @p next once metadata is
+     *  available. On a metadata fetch, parked read @p read may launch
+     *  SFRM's memory read. On-die tags never come here. */
     void lookupTags(Addr addr, EventQueue::Callback next,
                     std::uint32_t read = kNoRead);
 
@@ -157,16 +215,37 @@ class SectoredDramCache final : public MemSideCache
     void writebackVictim(std::uint64_t set, std::uint64_t victim_tag,
                          const SectorMeta &meta);
 
+    /** Read dirty block @p blk of sector @p sec out of the array and
+     *  write it to memory. */
+    void writebackBlock(std::uint64_t sec, std::uint32_t blk);
+
     SectoredDramCacheConfig cfg_;
     /** Per-access address split by cfg_.sectorBytes (see sectorNumber). */
     FastDiv secDiv_;
     /** Frame selection by cfg_.ways (see dataAddr). */
     FastDiv wayDiv_;
     DramSystem array_;
+    /** Where fills and writes go: array_, or *writeChannels_. */
+    DramSystem *writeArray_;
+    /** Split channels: 1 counts aMsRead/aMsWrite demand, 0 not. */
+    std::uint64_t split_ = 0;
+    /** On-die SRAM tags: a fixed lookup latency, no metadata traffic,
+     *  no tag cache and no SFRM. */
+    bool onDieTags_ = false;
+    /** The on-die lookup latency, in ticks. */
+    Tick onDieLookup_ = 0;
     AssocCache<SectorMeta> dir_;
     TagCache tagCache_;
     FootprintPrefetcher footprint_;
+    /** The eDRAM cache's write channels, emplaced by its constructor
+     *  after array_ exists so their refresh events follow the read
+     *  channels'. Last, off the DRAM cache's hot members. */
+    std::optional<DramSystem> writeChannels_;
 };
+
+/** The eDRAM cache is the sectored controller built from an
+ *  EdramCacheConfig; the name remains for the benchmark driver. */
+using EdramCache = SectoredDramCache;
 
 } // namespace dapsim
 

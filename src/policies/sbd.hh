@@ -62,7 +62,6 @@ class SbdPolicy final : public PartitionPolicy
     }
 
     bool inDirtyList(Addr addr) const;
-    std::size_t dirtyListSize() const { return dirtyMap_.size(); }
 
     void save(ckpt::Serializer &s) const override;
     void restore(ckpt::Deserializer &d) override;

@@ -233,8 +233,8 @@ System::buildMsCache()
                                            cfg_.alloy);
         break;
       case MsArch::Edram:
-        ms_ = std::make_unique<EdramCache>(eq_, *mm_, *policy_,
-                                           cfg_.edram);
+        ms_ = std::make_unique<SectoredDramCache>(eq_, *mm_, *policy_,
+                                                  cfg_.edram);
         break;
       case MsArch::None:
         ms_ = std::make_unique<NullMsCache>(eq_, *mm_, *policy_);
@@ -260,14 +260,16 @@ System::setupObservability()
         mm_->setBusTrace(ct, "mainMemory");
         if (remote_)
             remote_->setBusTrace(ct, "remote");
-        if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get()))
-            sc->array().setBusTrace(ct, "msArray");
+        if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
+            if (sc->splitChannels()) {
+                sc->readArray().setBusTrace(ct, "msReadArray");
+                sc->writeArray().setBusTrace(ct, "msWriteArray");
+            } else {
+                sc->array().setBusTrace(ct, "msArray");
+            }
+        }
         if (auto *ac = dynamic_cast<AlloyCache *>(ms_.get()))
             ac->array().setBusTrace(ct, "msArray");
-        if (auto *ec = dynamic_cast<EdramCache *>(ms_.get())) {
-            ec->readArray().setBusTrace(ct, "msReadArray");
-            ec->writeArray().setBusTrace(ct, "msWriteArray");
-        }
     }
 
     if (obs_->dapTrace())
@@ -555,16 +557,17 @@ System::dumpStats(std::ostream &os)
     os << "ms.mmCasFraction " << ms_->mainMemoryCasFraction() << '\n';
 
     if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
-        os << "ms.tagCache.missRatio " << sc->tagCache().missRatio()
-           << '\n';
-        dumpDram(os, "msArray", sc->array(), elapsed);
+        if (sc->splitChannels()) {
+            dumpDram(os, "msReadArray", sc->readArray(), elapsed);
+            dumpDram(os, "msWriteArray", sc->writeArray(), elapsed);
+        } else {
+            os << "ms.tagCache.missRatio " << sc->tagCache().missRatio()
+               << '\n';
+            dumpDram(os, "msArray", sc->array(), elapsed);
+        }
     }
     if (auto *ac = dynamic_cast<AlloyCache *>(ms_.get()))
         dumpDram(os, "msArray", ac->array(), elapsed);
-    if (auto *ec = dynamic_cast<EdramCache *>(ms_.get())) {
-        dumpDram(os, "msReadArray", ec->readArray(), elapsed);
-        dumpDram(os, "msWriteArray", ec->writeArray(), elapsed);
-    }
     dumpDram(os, "mainMemory", *mm_, elapsed);
 
     if (remote_) {
@@ -832,14 +835,12 @@ System::sourceSnapshot() const
     for (const auto &c : cores_)
         out.retired += c->retiredInstructions();
     if (auto *sc = dynamic_cast<SectoredDramCache *>(ms_.get())) {
-        out.msReads = sc->array().casReads();
-        out.msWrites = sc->array().casWrites();
+        // Split channels carry only reads, or only writes.
+        out.msReads = sc->readArray().casReads();
+        out.msWrites = sc->writeArray().casWrites();
     } else if (auto *ac = dynamic_cast<AlloyCache *>(ms_.get())) {
         out.msReads = ac->array().casReads();
         out.msWrites = ac->array().casWrites();
-    } else if (auto *ec = dynamic_cast<EdramCache *>(ms_.get())) {
-        out.msReads = ec->readArray().casOps();
-        out.msWrites = ec->writeArray().casOps();
     }
     out.mmReads = mm_->casReads();
     out.mmWrites = mm_->casWrites();

@@ -17,7 +17,6 @@
 #include "dap/dap_controller.hh"
 #include "dram/presets.hh"
 #include "memside/alloy_cache.hh"
-#include "memside/edram_cache.hh"
 #include "memside/remote_memory.hh"
 #include "memside/sectored_dram_cache.hh"
 #include "obs/obs_config.hh"

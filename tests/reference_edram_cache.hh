@@ -1,22 +1,115 @@
-#include "memside/edram_cache.hh"
+/**
+ * @file
+ * Reference eDRAM cache: the controller before it became a
+ * construction of the sectored one.
+ *
+ * This is `EdramCache` as it stood as its own class, frozen as the
+ * behavioural oracle for `SectoredDramCache` built from an
+ * `EdramCacheConfig`. It consults the policy's set-disable, fill- and
+ * write-bypass and IFRM hooks, and no others: no steering,
+ * write-through, cleaning or set flush. The differential test
+ * (test_edram_diff.cc) drives it and the production controller with
+ * one scripted stream under a policy that answers only those hooks,
+ * and requires equal completions, counters, window demand, channel
+ * CAS counts, event counts and checkpoint bytes.
+ *
+ * Do not optimise or otherwise modify this type: its value is that it
+ * is the old controller, line for line.
+ */
+
+#ifndef DAPSIM_TESTS_REFERENCE_EDRAM_CACHE_HH
+#define DAPSIM_TESTS_REFERENCE_EDRAM_CACHE_HH
+
+#include <cstdint>
+
+#include "cache/assoc_cache.hh"
+#include "cache/sector.hh"
+#include "memside/footprint_prefetcher.hh"
+#include "memside/ms_cache.hh"
+#include "memside/sectored_dram_cache.hh"
 
 namespace dapsim
 {
 
-EdramCache::EdramCache(EventQueue &eq, DramSystem &main_memory,
-                       PartitionPolicy &policy,
-                       const EdramCacheConfig &cfg)
-    : MemSideCache(eq, main_memory, policy), cfg_(cfg),
-      secDiv_(FastDiv::of(cfg.sectorBytes)),
-      wayDiv_(FastDiv::of(cfg.ways)),
-      readArray_(eq, cfg.readChannels), writeArray_(eq, cfg.writeChannels),
-      dir_(cfg.numSets(), cfg.ways, ReplPolicy::NRU),
-      footprint_(cfg.footprint, cfg.blocksPerSector())
+/** The sectored eDRAM cache controller, as its own class. */
+class RefEdramCache final : public MemSideCache
 {
-}
+  public:
+    RefEdramCache(EventQueue &eq, DramSystem &main_memory,
+                  PartitionPolicy &policy, const EdramCacheConfig &cfg)
+        : MemSideCache(eq, main_memory, policy), cfg_(cfg),
+          secDiv_(FastDiv::of(cfg.sectorBytes)),
+          wayDiv_(FastDiv::of(cfg.ways)),
+          readArray_(eq, cfg.readChannels),
+          writeArray_(eq, cfg.writeChannels),
+          dir_(cfg.numSets(), cfg.ways, ReplPolicy::NRU),
+          footprint_(cfg.footprint, cfg.blocksPerSector())
+    {
+    }
 
-Addr
-EdramCache::dataAddr(std::uint64_t sec, std::uint32_t blk) const
+    void handleRead(Addr addr, Done done) override;
+    void handleWrite(Addr addr) override;
+
+    std::uint64_t
+    arrayCasOps() const override
+    {
+        return readArray_.casOps() + writeArray_.casOps();
+    }
+
+    DramSystem &readArray() { return readArray_; }
+    DramSystem &writeArray() { return writeArray_; }
+
+    bool warmTouch(Addr addr, bool is_write) override;
+
+    void
+    creditFastForward(std::uint64_t reads, std::uint64_t writes) override
+    {
+        readArray_.creditFastForward(reads, 0);
+        writeArray_.creditFastForward(0, writes);
+    }
+
+    void save(ckpt::Serializer &s) const override;
+    void restore(ckpt::Deserializer &d) override;
+
+  private:
+    std::uint64_t sectorNumber(Addr a) const { return secDiv_.div(a); }
+    std::uint64_t setOf(std::uint64_t sec) const
+    {
+        return dir_.mapSet(indexHash(sec));
+    }
+    std::uint64_t tagOf(std::uint64_t sec) const { return sec; }
+    std::uint32_t
+    blkOf(Addr a) const
+    {
+        return static_cast<std::uint32_t>(secDiv_.mod(a) / kBlockBytes);
+    }
+    std::uint64_t
+    sectorNumberFrom(std::uint64_t, std::uint64_t tag) const
+    {
+        return tag;
+    }
+
+    Addr dataAddr(std::uint64_t sec, std::uint32_t blk) const;
+
+    /** Resolve parked read @p slot after the on-die tag lookup. */
+    void resolveRead(Addr addr, std::uint32_t slot);
+
+    bool launchFill(std::uint64_t sec, std::uint32_t blk);
+    bool allocateSector(Addr addr, std::uint64_t sec, std::uint32_t blk);
+    void writebackVictim(std::uint64_t set, std::uint64_t victim_tag,
+                         const SectorMeta &meta);
+
+    EdramCacheConfig cfg_;
+    FastDiv secDiv_;
+    FastDiv wayDiv_;
+    DramSystem readArray_;
+    DramSystem writeArray_;
+    AssocCache<SectorMeta> dir_;
+    FootprintPrefetcher footprint_;
+};
+
+inline Addr
+RefEdramCache::dataAddr(std::uint64_t sec, std::uint32_t blk) const
 {
     const std::uint64_t frame =
         setOf(sec) * cfg_.ways + wayDiv_.mod(sec);
@@ -24,8 +117,8 @@ EdramCache::dataAddr(std::uint64_t sec, std::uint32_t blk) const
            static_cast<Addr>(blk) * kBlockBytes;
 }
 
-void
-EdramCache::handleRead(Addr addr, Done done)
+inline void
+RefEdramCache::handleRead(Addr addr, Done done)
 {
     window_.lookups++;
     const std::uint64_t set = setOf(sectorNumber(addr));
@@ -43,8 +136,8 @@ EdramCache::handleRead(Addr addr, Done done)
                       [this, addr, slot] { resolveRead(addr, slot); });
 }
 
-void
-EdramCache::resolveRead(Addr addr, std::uint32_t slot)
+inline void
+RefEdramCache::resolveRead(Addr addr, std::uint32_t slot)
 {
     const std::uint64_t sec = sectorNumber(addr);
     const std::uint64_t set = setOf(sec);
@@ -92,8 +185,8 @@ EdramCache::resolveRead(Addr addr, std::uint32_t slot)
     });
 }
 
-bool
-EdramCache::launchFill(std::uint64_t sec, std::uint32_t blk)
+inline bool
+RefEdramCache::launchFill(std::uint64_t sec, std::uint32_t blk)
 {
     window_.readMisses++;
     window_.aMs++;
@@ -113,9 +206,10 @@ EdramCache::launchFill(std::uint64_t sec, std::uint32_t blk)
     return true;
 }
 
-void
-EdramCache::writebackVictim(std::uint64_t set, std::uint64_t victim_tag,
-                            const SectorMeta &meta)
+inline void
+RefEdramCache::writebackVictim(std::uint64_t set,
+                               std::uint64_t victim_tag,
+                               const SectorMeta &meta)
 {
     sectorEvictions.inc();
     const std::uint64_t vsec = sectorNumberFrom(set, victim_tag);
@@ -135,9 +229,9 @@ EdramCache::writebackVictim(std::uint64_t set, std::uint64_t victim_tag,
     }
 }
 
-bool
-EdramCache::allocateSector(Addr addr, std::uint64_t sec,
-                           std::uint32_t blk)
+inline bool
+RefEdramCache::allocateSector(Addr addr, std::uint64_t sec,
+                              std::uint32_t blk)
 {
     (void)addr;
     const std::uint64_t set = setOf(sec);
@@ -171,8 +265,8 @@ EdramCache::allocateSector(Addr addr, std::uint64_t sec,
     return demand_fill;
 }
 
-bool
-EdramCache::warmTouch(Addr addr, bool is_write)
+inline bool
+RefEdramCache::warmTouch(Addr addr, bool is_write)
 {
     const std::uint64_t sec = sectorNumber(addr);
     const std::uint64_t set = setOf(sec);
@@ -202,8 +296,8 @@ EdramCache::warmTouch(Addr addr, bool is_write)
     return hit;
 }
 
-void
-EdramCache::handleWrite(Addr addr)
+inline void
+RefEdramCache::handleWrite(Addr addr)
 {
     window_.lookups++;
     const std::uint64_t sec = sectorNumber(addr);
@@ -255,8 +349,8 @@ EdramCache::handleWrite(Addr addr)
     writeArray_.access(dataAddr(sec, blk), true);
 }
 
-void
-EdramCache::save(ckpt::Serializer &s) const
+inline void
+RefEdramCache::save(ckpt::Serializer &s) const
 {
     saveBase(s);
     readArray_.save(s);
@@ -269,8 +363,8 @@ EdramCache::save(ckpt::Serializer &s) const
     footprint_.save(s);
 }
 
-void
-EdramCache::restore(ckpt::Deserializer &d)
+inline void
+RefEdramCache::restore(ckpt::Deserializer &d)
 {
     restoreBase(d);
     readArray_.restore(d);
@@ -284,3 +378,5 @@ EdramCache::restore(ckpt::Deserializer &d)
 }
 
 } // namespace dapsim
+
+#endif // DAPSIM_TESTS_REFERENCE_EDRAM_CACHE_HH

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the sectored eDRAM cache with split R/W channels.
+ * Unit tests for the sectored eDRAM cache: the sectored controller
+ * built from an EdramCacheConfig, with on-die tags and split R/W
+ * channels.
  */
 
 #include <gtest/gtest.h>
 
-#include "memside/edram_cache.hh"
+#include "memside/sectored_dram_cache.hh"
 #include "policy_stub.hh"
 
 namespace dapsim
@@ -21,11 +23,11 @@ class EdramCacheTest : public ::testing::Test
         cfg.capacityBytes = 1 * kMiB;
     }
 
-    EdramCache &
+    SectoredDramCache &
     cache()
     {
         if (!ms)
-            ms = std::make_unique<EdramCache>(eq, mm, policy, cfg);
+            ms = std::make_unique<SectoredDramCache>(eq, mm, policy, cfg);
         return *ms;
     }
 
@@ -42,7 +44,7 @@ class EdramCacheTest : public ::testing::Test
     DramSystem mm;
     StubPolicy policy;
     EdramCacheConfig cfg;
-    std::unique_ptr<EdramCache> ms;
+    std::unique_ptr<SectoredDramCache> ms;
 };
 
 TEST_F(EdramCacheTest, SplitChannels)
@@ -156,8 +158,8 @@ TEST_F(EdramCacheTest, WarmTouchPrimes)
 
 TEST_F(EdramCacheTest, PeakBandwidthAccessors)
 {
-    EXPECT_NEAR(cache().readPeakAccPerCycle(), 0.2, 1e-6);
-    EXPECT_NEAR(cache().writePeakAccPerCycle(), 0.2, 1e-6);
+    EXPECT_NEAR(cfg.readChannels.peakAccessesPerCpuCycle(), 0.2, 1e-6);
+    EXPECT_NEAR(cfg.writeChannels.peakAccessesPerCpuCycle(), 0.2, 1e-6);
 }
 
 } // namespace

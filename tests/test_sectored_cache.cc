@@ -1,9 +1,12 @@
 /**
  * @file
- * Unit tests for the sectored DRAM cache controller.
+ * Unit tests for the sectored MS$ controller: the DRAM cache, and the
+ * SBD and BATMAN hooks on both of its organizations.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "dram/presets.hh"
 #include "memside/sectored_dram_cache.hh"
@@ -211,40 +214,6 @@ TEST_F(SectoredCacheTest, DisabledSetServedByMemory)
     EXPECT_EQ(cache().arrayCasOps(), array_cas);
 }
 
-TEST_F(SectoredCacheTest, SteerServesCleanBlocksFromMemory)
-{
-    read(0xC000);
-    policy.steer = true;
-    const auto mm_reads = mm.casReads();
-    EXPECT_TRUE(read(0xC000));
-    EXPECT_EQ(cache().steeredToMemory.value(), 1u);
-    EXPECT_GT(mm.casReads(), mm_reads);
-}
-
-TEST_F(SectoredCacheTest, SteerOverriddenForDirtyBlocks)
-{
-    cache().handleWrite(0xD000);
-    eq.run();
-    policy.steer = true;
-    EXPECT_TRUE(read(0xD000));
-    EXPECT_EQ(cache().steerOverridden.value(), 1u);
-    EXPECT_EQ(cache().steeredToMemory.value(), 0u);
-}
-
-TEST_F(SectoredCacheTest, CleanSectorWritesDirtyBlocksBack)
-{
-    cache().handleWrite(0xE000);
-    cache().handleWrite(0xE040);
-    eq.run();
-    cache().cleanSector(0xE000);
-    eq.run();
-    EXPECT_EQ(cache().dirtyWritebacks.value(), 2u);
-    // Blocks stay resident but clean.
-    policy.forceReadMiss = false;
-    read(0xE000);
-    EXPECT_EQ(cache().cleanReadHits.value(), 1u);
-}
-
 TEST_F(SectoredCacheTest, EvictionWritesBackDirtyBlocks)
 {
     // Fill one set beyond associativity with dirty sectors.
@@ -306,6 +275,172 @@ TEST_F(SectoredCacheTest, HitRatioCombinesReadsAndWrites)
     eq.run();
     EXPECT_NEAR(cache().hitRatio(), 2.0 / 3.0, 1e-9);
 }
+
+/** The two organizations the sectored controller is built as. */
+enum class Org
+{
+    DramCache, ///< tag cache, one bidirectional array
+    Edram,     ///< on-die tags, split read/write channels
+};
+
+const char *
+label(Org o)
+{
+    return o == Org::Edram ? "Edram" : "DramCache";
+}
+
+void PrintTo(Org o, std::ostream *os) { *os << label(o); }
+
+/**
+ * The SBD and BATMAN hooks, on both organizations. Each case also
+ * holds the eDRAM channel roles: read-outs on the read channels, fills
+ * and writes on the write channels, and no metadata CAS (the DRAM
+ * cache's tag-cache hits add none either).
+ */
+class SectoredHooksTest : public ::testing::TestWithParam<Org>
+{
+  protected:
+    SectoredHooksTest() : mm(eq, presets::ddr4_2400())
+    {
+        dram.capacityBytes = 4 * kMiB;
+        dram.tagCache.entries = 64;
+        edram.capacityBytes = 1 * kMiB;
+    }
+
+    SectoredDramCache &
+    cache()
+    {
+        if (!ms)
+            ms = GetParam() == Org::Edram
+                     ? std::make_unique<SectoredDramCache>(eq, mm, policy,
+                                                           edram)
+                     : std::make_unique<SectoredDramCache>(eq, mm, policy,
+                                                           dram);
+        return *ms;
+    }
+
+    bool
+    read(Addr a)
+    {
+        bool fired = false;
+        cache().handleRead(a, [&] { fired = true; });
+        eq.run();
+        return fired;
+    }
+
+    void
+    write(Addr a)
+    {
+        cache().handleWrite(a);
+        eq.run();
+    }
+
+    /** Reads on the read channels and writes on the write channels,
+     *  only (vacuous on the one bidirectional array). */
+    void
+    expectChannelRoles()
+    {
+        if (!cache().splitChannels())
+            return;
+        EXPECT_EQ(cache().readArray().casWrites(), 0u);
+        EXPECT_EQ(cache().writeArray().casReads(), 0u);
+    }
+
+    EventQueue eq;
+    DramSystem mm;
+    StubPolicy policy;
+    SectoredDramCacheConfig dram;
+    EdramCacheConfig edram;
+    std::unique_ptr<SectoredDramCache> ms;
+};
+
+TEST_P(SectoredHooksTest, SteerServesCleanBlocksFromMemory)
+{
+    read(0xC000);
+    policy.steer = true;
+    const auto mm_reads = mm.casReads();
+    const auto array_cas = cache().arrayCasOps();
+    EXPECT_TRUE(read(0xC000));
+    EXPECT_EQ(cache().steeredToMemory.value(), 1u);
+    EXPECT_GT(mm.casReads(), mm_reads);
+    EXPECT_EQ(cache().arrayCasOps(), array_cas);
+    expectChannelRoles();
+}
+
+TEST_P(SectoredHooksTest, SteerOverriddenForDirtyBlocks)
+{
+    write(0xD000);
+    policy.steer = true;
+    const auto reads = cache().readArray().casReads();
+    EXPECT_TRUE(read(0xD000));
+    EXPECT_EQ(cache().steerOverridden.value(), 1u);
+    EXPECT_EQ(cache().steeredToMemory.value(), 0u);
+    // The dirty block is read from the cache: one data CAS.
+    EXPECT_EQ(cache().readArray().casReads(), reads + 1);
+    expectChannelRoles();
+}
+
+TEST_P(SectoredHooksTest, CleanSectorWritesDirtyBlocksBack)
+{
+    write(0xE000);
+    write(0xE040);
+    const auto reads = cache().readArray().casReads();
+    cache().cleanSector(0xE000);
+    eq.run();
+    EXPECT_EQ(cache().dirtyWritebacks.value(), 2u);
+    // Two read-outs and no metadata traffic.
+    EXPECT_EQ(cache().readArray().casReads(), reads + 2);
+    // Blocks stay resident but clean.
+    read(0xE000);
+    EXPECT_EQ(cache().cleanReadHits.value(), 1u);
+    expectChannelRoles();
+}
+
+TEST_P(SectoredHooksTest, WriteThroughKeepsBlocksClean)
+{
+    read(0xF000);           // resident and clean
+    policy.writeThrough = true;
+    const auto mm_writes = mm.casWrites();
+    const auto writes = cache().writeArray().casWrites();
+    write(0xF000);          // write hit
+    write(0x7F000);         // sector miss: write-allocate
+    EXPECT_EQ(cache().writeHits.value(), 1u);
+    EXPECT_EQ(cache().writeMisses.value(), 1u);
+    // Both go to the cache and to memory.
+    EXPECT_EQ(cache().writeArray().casWrites(), writes + 2);
+    EXPECT_EQ(mm.casWrites(), mm_writes + 2);
+    policy.writeThrough = false;
+    read(0xF000);
+    read(0x7F000);
+    EXPECT_EQ(cache().cleanReadHits.value(), 2u);
+    EXPECT_EQ(cache().dirtyWritebacks.value(), 0u);
+    expectChannelRoles();
+}
+
+TEST_P(SectoredHooksTest, FlushSetWritesBackAndInvalidates)
+{
+    write(0x10000);
+    write(0x10040);
+    const SectoredDramCacheConfig &g = cache().config();
+    const std::uint64_t set =
+        indexHash(0x10000 / g.sectorBytes) % g.numSets();
+    const auto reads = cache().readArray().casReads();
+    cache().flushSet(set);
+    eq.run();
+    EXPECT_EQ(cache().sectorEvictions.value(), 1u);
+    EXPECT_EQ(cache().dirtyWritebacks.value(), 2u);
+    EXPECT_EQ(cache().readArray().casReads(), reads + 2);
+    EXPECT_FALSE(cache().isBlockResident(0x10000));
+    EXPECT_FALSE(cache().isBlockResident(0x10040));
+    expectChannelRoles();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Organizations, SectoredHooksTest,
+    ::testing::Values(Org::DramCache, Org::Edram),
+    [](const ::testing::TestParamInfo<Org> &info) {
+        return std::string(label(info.param));
+    });
 
 } // namespace
 } // namespace dapsim

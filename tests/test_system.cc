@@ -159,6 +159,20 @@ TEST(SystemIntegration, NoMsCacheStillWorks)
     EXPECT_EQ(r.mmCasFraction, 1.0); // everything served by memory
 }
 
+TEST(SystemIntegration, SbdActsOnEdram)
+{
+    // SBD steers, writes through and cleans on the eDRAM cache as on
+    // the DRAM cache, so its run must differ from the baseline's.
+    SystemConfig cfg = presets::edramSystem8();
+    const Mix mix = rateMix(workloadByName("mcf"), 8);
+    const RunResult base = runMix(cfg, mix, kSmallInstr);
+    cfg.policy = PolicyKind::Sbd;
+    const RunResult sbd = runMix(cfg, mix, kSmallInstr);
+    EXPECT_EQ(sbd.policyName, "sbd");
+    EXPECT_NE(sbd.ipc, base.ipc);
+    EXPECT_NE(sbd.cycles, base.cycles);
+}
+
 TEST(SystemIntegration, HarvestReportsTagCacheMissRatio)
 {
     const RunResult r = runMix(smallSectored(), smallMix(), kSmallInstr);
