@@ -250,7 +250,10 @@ fullHash(std::uint64_t state_hash, const SystemConfig &cfg)
     s.u64(state_hash);
     s.u32(policyId(cfg.policy));
 
-    s.boolean(cfg.dapExplicit);
+    // Two retired config flags (DAP and BATMAN parameters given
+    // explicitly) were always false; their bytes stay so that job ids,
+    // fork-group keys and checkpoint headers do not move.
+    s.boolean(false);
     s.u32(archIdOf(cfg.arch));
     s.u64(cfg.dap.windowCycles);
     s.f64(cfg.dap.efficiency);
@@ -275,7 +278,7 @@ fullHash(std::uint64_t state_hash, const SystemConfig &cfg)
     s.u64(cfg.sbd.decayWindows);
     s.boolean(cfg.sbd.writeThroughOnly);
 
-    s.boolean(cfg.batmanExplicit);
+    s.boolean(false);
     s.u64(cfg.batman.numSets);
     s.f64(cfg.batman.targetHitRate);
     s.f64(cfg.batman.hysteresis);

@@ -45,10 +45,6 @@ struct Value
     std::vector<Value> arr;
     std::map<std::string, Value> obj;
 
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isString() const { return kind == Kind::String; }
-
     /** Object member or null; throws when not an object. */
     const Value *
     find(const std::string &key) const

@@ -37,14 +37,6 @@ warn(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-/** Panic unless @p cond holds. Used for simulator invariants. */
-inline void
-panicIfNot(bool cond, const char *what)
-{
-    if (!cond)
-        panic(what);
-}
-
 } // namespace dapsim
 
 #endif // DAPSIM_COMMON_LOG_HH

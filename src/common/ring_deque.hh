@@ -10,66 +10,58 @@
  * never returned until destruction, so a queue sized once (see
  * Channel's constructor) never allocates again.
  *
- * Supports move-only element types (ChannelRequest holds an
- * InlineCallback); the container itself is move-only.
+ * Elements are plain records (trivially copyable; the channels queue
+ * 32-byte `Channel::HotReq`s whose completions wait in a `SlotPool`),
+ * so the ring is a `std::vector<T>` whose slots are overwritten in
+ * place and never destroyed one by one.
  */
 
 #ifndef DAPSIM_COMMON_RING_DEQUE_HH
 #define DAPSIM_COMMON_RING_DEQUE_HH
 
 #include <cstddef>
-#include <new>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace dapsim
 {
 
-/** Reservable move-only ring buffer with deque-style access. */
+/** Reservable ring buffer of plain records with deque-style access. */
 template <class T>
 class RingDeque
 {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "RingDeque holds plain records only");
+
   public:
     RingDeque() = default;
     RingDeque(const RingDeque &) = delete;
     RingDeque &operator=(const RingDeque &) = delete;
 
-    RingDeque(RingDeque &&other) noexcept
-        : data_(other.data_), cap_(other.cap_), head_(other.head_),
-          size_(other.size_)
-    {
-        other.data_ = nullptr;
-        other.cap_ = other.head_ = other.size_ = 0;
-    }
-
-    ~RingDeque()
-    {
-        clear();
-        ::operator delete(data_, std::align_val_t(alignof(T)));
-    }
-
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    std::size_t capacity() const { return cap_; }
+    std::size_t capacity() const { return data_.size(); }
 
-    T &operator[](std::size_t i) { return *ptr(i); }
-    const T &operator[](std::size_t i) const { return *ptr(i); }
-    T &front() { return *ptr(0); }
-    T &back() { return *ptr(size_ - 1); }
+    T &operator[](std::size_t i) { return data_[wrap(i)]; }
+    const T &operator[](std::size_t i) const { return data_[wrap(i)]; }
+    T &front() { return (*this)[0]; }
+    T &back() { return (*this)[size_ - 1]; }
 
     /** The two contiguous element runs (second may be empty): scan
      *  loops walk raw pointers instead of masked indexed access. */
     std::pair<const T *, std::size_t>
     seg0() const
     {
-        const std::size_t n = cap_ - head_;
-        return {data_ + head_, size_ < n ? size_ : n};
+        const std::size_t n = data_.size() - head_;
+        return {data_.data() + head_, size_ < n ? size_ : n};
     }
 
     std::pair<const T *, std::size_t>
     seg1() const
     {
-        const std::size_t n = cap_ - head_;
-        return {data_, size_ < n ? 0 : size_ - n};
+        const std::size_t n = data_.size() - head_;
+        return {data_.data(), size_ < n ? 0 : size_ - n};
     }
 
     /** Ensure capacity for at least @p n elements (rounded up to a
@@ -77,24 +69,23 @@ class RingDeque
     void
     reserve(std::size_t n)
     {
-        if (n > cap_)
+        if (n > data_.size())
             grow(n);
     }
 
     void
-    push_back(T v)
+    push_back(const T &v)
     {
-        if (size_ == cap_)
-            grow(cap_ ? cap_ * 2 : 8);
-        ::new (static_cast<void *>(slot(size_))) T(std::move(v));
+        if (size_ == data_.size())
+            grow(size_ ? size_ * 2 : 8);
+        data_[wrap(size_)] = v;
         ++size_;
     }
 
     void
     pop_front()
     {
-        ptr(0)->~T();
-        head_ = (head_ + 1) & (cap_ - 1);
+        head_ = wrap(1);
         --size_;
     }
 
@@ -104,12 +95,11 @@ class RingDeque
     {
         if (i < size_ - i) {
             for (std::size_t j = i; j > 0; --j)
-                *ptr(j) = std::move(*ptr(j - 1));
+                (*this)[j] = (*this)[j - 1];
             pop_front();
         } else {
             for (std::size_t j = i; j + 1 < size_; ++j)
-                *ptr(j) = std::move(*ptr(j + 1));
-            ptr(size_ - 1)->~T();
+                (*this)[j] = (*this)[j + 1];
             --size_;
         }
     }
@@ -117,23 +107,15 @@ class RingDeque
     void
     clear()
     {
-        for (std::size_t i = 0; i < size_; ++i)
-            ptr(i)->~T();
         head_ = 0;
         size_ = 0;
     }
 
   private:
-    T *
-    ptr(std::size_t i) const
+    std::size_t
+    wrap(std::size_t i) const
     {
-        return slot(i);
-    }
-
-    T *
-    slot(std::size_t i) const
-    {
-        return data_ + ((head_ + i) & (cap_ - 1));
+        return (head_ + i) & (data_.size() - 1);
     }
 
     void
@@ -142,20 +124,14 @@ class RingDeque
         std::size_t cap = 8;
         while (cap < want)
             cap *= 2;
-        T *fresh = static_cast<T *>(::operator new(
-            cap * sizeof(T), std::align_val_t(alignof(T))));
-        for (std::size_t i = 0; i < size_; ++i) {
-            ::new (static_cast<void *>(fresh + i)) T(std::move(*ptr(i)));
-            ptr(i)->~T();
-        }
-        ::operator delete(data_, std::align_val_t(alignof(T)));
-        data_ = fresh;
-        cap_ = cap;
+        std::vector<T> fresh(cap);
+        for (std::size_t i = 0; i < size_; ++i)
+            fresh[i] = (*this)[i];
+        data_.swap(fresh);
         head_ = 0;
     }
 
-    T *data_ = nullptr;
-    std::size_t cap_ = 0;
+    std::vector<T> data_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };

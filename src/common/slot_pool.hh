@@ -13,8 +13,11 @@
  * recently released slot, still warm in cache, is reused first. An
  * index stays valid until its slot is released; a reference does not
  * survive a `put`, which may grow the vector. A released slot keeps
- * its (usually moved-from) value until the next `put` overwrites it;
- * every value, parked or not, is destroyed with the pool.
+ * its value until the next `put` overwrites it; after a `take` that is
+ * a moved-from, empty callback. The simulator's parked values
+ * (callbacks, miss continuations, parked reads) own nothing, since
+ * every callback capture is trivially copyable; a value that does own
+ * something is destroyed with the pool, parked or not.
  */
 
 #ifndef DAPSIM_COMMON_SLOT_POOL_HH

@@ -2,16 +2,15 @@
  * @file
  * Lightweight statistics package.
  *
- * Components own their counters, averages and histograms. The package
- * is intentionally simple: scalar counters, averages, and fixed-bucket
- * histograms cover everything the paper's evaluation reports.
+ * Components own their counters and averages. The package is
+ * intentionally simple: scalar counters and averages cover everything
+ * the paper's evaluation reports.
  */
 
 #ifndef DAPSIM_COMMON_STATS_HH
 #define DAPSIM_COMMON_STATS_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace dapsim
 {
@@ -62,39 +61,6 @@ class Average
   private:
     double sum_ = 0.0;
     std::uint64_t count_ = 0;
-};
-
-/** Histogram with uniform buckets over [0, max); overflow in last bucket. */
-class Histogram
-{
-  public:
-    Histogram(double max = 1.0, std::size_t buckets = 16)
-        : max_(max), buckets_(buckets, 0)
-    {
-    }
-
-    void
-    sample(double v)
-    {
-        std::size_t i =
-            v >= max_ ? buckets_.size() - 1
-                      : static_cast<std::size_t>(v / max_ * buckets_.size());
-        if (i >= buckets_.size())
-            i = buckets_.size() - 1;
-        ++buckets_[i];
-        ++count_;
-        sum_ += v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-
-  private:
-    double max_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
 };
 
 } // namespace dapsim

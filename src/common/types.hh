@@ -48,13 +48,6 @@ cpuCyclesToTicks(Cycle c)
     return c * kCpuPeriodPs;
 }
 
-/** Block-align an address. */
-constexpr Addr
-blockAlign(Addr a)
-{
-    return a & ~static_cast<Addr>(kBlockBytes - 1);
-}
-
 /** Block number of an address. */
 constexpr Addr
 blockNumber(Addr a)

@@ -92,21 +92,6 @@ struct FidelityConfig
     bool exact() const { return mode == FidelityMode::Exact; }
 };
 
-/** Stable lowercase name of a mode ("exact", "sampled", "analytic"). */
-inline const char *
-fidelityModeName(FidelityMode mode)
-{
-    switch (mode) {
-      case FidelityMode::Exact:
-        return "exact";
-      case FidelityMode::Sampled:
-        return "sampled";
-      case FidelityMode::Analytic:
-        return "analytic";
-    }
-    return "unknown";
-}
-
 /** Parse a mode name; returns false on unknown names. */
 inline bool
 fidelityModeFromName(const std::string &name, FidelityMode &out)

@@ -146,8 +146,6 @@ System::~System() = default;
 void
 System::deriveDapConfig()
 {
-    if (cfg_.dapExplicit)
-        return;
     cfg_.dap.mmPeakAccPerCycle =
         cfg_.mainMemory.peakAccessesPerCpuCycle();
     cfg_.dap.msPeakAccPerCycle = msPeakAccPerCycle(cfg_);
@@ -191,26 +189,24 @@ System::buildPolicy()
         policy_ = std::make_unique<SbdPolicy>(cfg_.sbd);
         break;
       case PolicyKind::Batman: {
-        if (!cfg_.batmanExplicit) {
-            switch (cfg_.arch) {
-              case MsArch::Sectored:
-                cfg_.batman.numSets = cfg_.sectored.numSets();
-                break;
-              case MsArch::Alloy:
-                cfg_.batman.numSets = cfg_.alloy.numSets();
-                break;
-              case MsArch::Edram:
-                cfg_.batman.numSets = cfg_.edram.numSets();
-                break;
-              case MsArch::None:
-                break;
-            }
-            const double bms = msPeakAccPerCycle(cfg_);
-            const double bmm =
-                cfg_.mainMemory.peakAccessesPerCpuCycle();
-            cfg_.batman.targetHitRate =
-                1.0 - bwmodel::optimalMemoryFraction(bms, bmm);
+        switch (cfg_.arch) {
+          case MsArch::Sectored:
+            cfg_.batman.numSets = cfg_.sectored.numSets();
+            break;
+          case MsArch::Alloy:
+            cfg_.batman.numSets = cfg_.alloy.numSets();
+            break;
+          case MsArch::Edram:
+            cfg_.batman.numSets = cfg_.edram.numSets();
+            break;
+          case MsArch::None:
+            break;
         }
+        const double bms = msPeakAccPerCycle(cfg_);
+        const double bmm =
+            cfg_.mainMemory.peakAccessesPerCpuCycle();
+        cfg_.batman.targetHitRate =
+            1.0 - bwmodel::optimalMemoryFraction(bms, bmm);
         policy_ = std::make_unique<BatmanPolicy>(cfg_.batman);
         break;
       }

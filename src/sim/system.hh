@@ -76,12 +76,10 @@ struct SystemConfig
 
     PolicyKind policy = PolicyKind::Baseline;
     /** DAP parameters; bandwidth fields are auto-filled from the
-     *  architecture configs unless dapExplicit is set. */
+     *  architecture configs. */
     DapConfig dap{};
-    bool dapExplicit = false;
     SbdConfig sbd{};
     BatmanConfig batman{};
-    bool batmanExplicit = false;
     BearConfig bear{};
 
     PrefetcherConfig prefetch{};

@@ -97,6 +97,10 @@ TEST(SlotPool, ParksMoveOnlyCallbacks)
     EXPECT_EQ(fired, 10);
     cb();
     EXPECT_EQ(fired, 11);
+    // A fresh one-byte capture moved into the pool in the same scope:
+    // the move copies the whole buffer, so no byte of it may be
+    // uninitialized (GCC's -Wmaybe-uninitialized under -Werror).
+    EXPECT_EQ(pool.put([] {}), a);
 }
 
 } // namespace

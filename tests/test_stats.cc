@@ -51,19 +51,5 @@ TEST(Average, ResetClears)
     EXPECT_EQ(a.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 10);
-    h.sample(0.5);  // bucket 0
-    h.sample(5.5);  // bucket 5
-    h.sample(9.99); // bucket 9
-    h.sample(25.0); // overflow -> last bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[5], 1u);
-    EXPECT_EQ(h.buckets()[9], 2u);
-    EXPECT_NEAR(h.mean(), (0.5 + 5.5 + 9.99 + 25.0) / 4, 1e-9);
-}
-
 } // namespace
 } // namespace dapsim
