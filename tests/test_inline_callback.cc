@@ -112,6 +112,34 @@ TEST(InlineCallback, EmptyStates)
     EXPECT_FALSE(static_cast<bool>(cb));
 }
 
+TEST(InlineCallback, MovesHandOverOneCallableThatFiresOnce)
+{
+    // The parked-read rule "a Done fires exactly once" rests on these:
+    // no copies, and every move empties its source.
+    static_assert(!std::is_copy_constructible_v<InlineCallback>);
+    static_assert(!std::is_copy_assignable_v<InlineCallback>);
+    static_assert(std::is_nothrow_move_constructible_v<InlineCallback>);
+    static_assert(std::is_nothrow_move_assignable_v<InlineCallback>);
+    // The buffer and one invoke pointer, padded to the buffer's
+    // alignment: 80 bytes on x86-64.
+    static_assert(sizeof(InlineCallback) ==
+                  kInlineCallbackBytes + alignof(std::max_align_t));
+
+    int fired = 0;
+    std::array<InlineCallback, 4> hops;
+    hops[0] = InlineCallback([&fired] { fired += 1; });
+    // A move onto a full callback replaces its callable.
+    hops[2] = InlineCallback([&fired] { fired += 100; });
+    for (std::size_t i = 1; i < hops.size(); ++i)
+        hops[i] = std::move(hops[i - 1]);
+    for (std::size_t i = 0; i + 1 < hops.size(); ++i)
+        EXPECT_FALSE(static_cast<bool>(hops[i])) << "hop " << i;
+    for (const InlineCallback &cb : hops)
+        if (cb)
+            cb();
+    EXPECT_EQ(fired, 1);
+}
+
 struct RecurringCounter
 {
     int ticks = 0;
